@@ -19,6 +19,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,6 @@ __all__ = [
     "QuadrantParams",
     "DEFAULT_QUADRATURE",
     "quadrant_params",
-    "bessel_i",
     "exit_probs",
     "metzler_density",
     "conditional_fpt_density_D",
@@ -52,14 +52,6 @@ __all__ = [
 FLAG_SERIES_CAP = "series_cap"
 FLAG_TAIL = "tail_estimate_uncertainty"
 FLAG_QUAD = "quadrature_tolerance"
-
-# largest log representable in a float; beyond this bessel_i must be asked
-# for the log-scaled value
-_MAX_EXP = math.log(np.finfo(float).max)
-
-# power series is used up to this argument; at the switch it still
-# converges comfortably inside the default term cap
-_SERIES_Z_MAX = 240.0
 
 # mass certified away by the reflection envelope: exp(-_ENV_LOG) ~ 1e-13
 _ENV_LOG = 30.0
@@ -87,13 +79,14 @@ class QuadratureConfig:
     tail_cut: tuple[float, float] = (1e-4, 1e3)
 
     def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("tolerances must be positive")
-        if self.series_terms_max < 1:
-            raise ValueError("series_terms_max must be at least 1")
+        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
+        if not (isinstance(self.series_terms_max, numbers.Integral)
+                and self.series_terms_max >= 1):
+            raise ValueError("series_terms_max must be an integer of at least 1")
         lo, hi = self.tail_cut
-        if not (0 < lo < hi):
-            raise ValueError("tail_cut must satisfy 0 < lower < upper")
+        if not (0 < lo < hi < math.inf):
+            raise ValueError("tail_cut must satisfy 0 < lower < upper < inf")
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
@@ -165,75 +158,6 @@ def quadrant_params(v1, x1, constants=None, *, sigma_plus=None,
     return QuadrantParams(v1=v1, x1=x1, sigma_plus=float(sigma_plus),
                           sigma_minus=float(sigma_minus), rho=float(rho),
                           alpha=alpha, theta0=theta0, r0=math.sqrt(r0_sq))
-
-
-# ---------------------------------------------------------------------------
-# modified Bessel function of the first kind
-
-
-def _log_i_series(nu, z, terms_max):
-    """log I_nu(z) by the ascending series, accumulated in log space so no
-    intermediate can overflow.  Terms are summed until the next falls below
-    relative machine precision or the cap is hit."""
-    log_term = nu * math.log(0.5 * z) - math.lgamma(nu + 1.0)
-    log_x = 2.0 * math.log(0.5 * z)
-    acc = log_term
-    for k in range(1, terms_max + 1):
-        log_term += log_x - math.log(k * (nu + k))
-        acc = np.logaddexp(acc, log_term)
-        if log_term < acc + math.log(1e-17):
-            break
-    return float(acc)
-
-
-def _log_i_asym(nu, z):
-    """Large-argument expansion of log I_nu(z), valid while the order stays
-    well below the argument; terms are summed while they decrease."""
-    mu4 = 4.0 * nu * nu
-    term = 1.0
-    acc = 1.0
-    for k in range(1, 50):
-        nxt = -term * (mu4 - (2.0 * k - 1.0) ** 2) / (8.0 * z * k)
-        if abs(nxt) >= abs(term):
-            break
-        acc += nxt
-        term = nxt
-        if abs(term) <= 1e-17 * acc:
-            break
-    return z - 0.5 * math.log(2.0 * math.pi * z) + math.log(max(acc, 1e-300))
-
-
-def bessel_i(nu, z, log=False, config=None):
-    """Modified Bessel function of the first kind, I_nu(z).
-
-    Evaluated by the ascending power series, switching to the scaled
-    large-argument expansion once the argument is large and dominates the
-    order; for large arguments with comparably large orders the log-space
-    series is kept, where the term cap can bind and accuracy degrades
-    gracefully.  With ``log=True`` returns log I_nu(z), which stays
-    representable long after the plain value overflows; without it an
-    OverflowError is raised once the value exceeds the floating-point
-    range.
-    """
-    nu = float(nu)
-    z = float(z)
-    if not (math.isfinite(nu) and nu >= 0):
-        raise ValueError("order must be finite and nonnegative")
-    if not (math.isfinite(z) and z >= 0):
-        raise ValueError("argument must be finite and nonnegative")
-    cfg = _cfg(config)
-    if z == 0.0:
-        lv = 0.0 if nu == 0.0 else -math.inf
-    elif z <= _SERIES_Z_MAX or 4.0 * nu * nu > 2.0 * z:
-        lv = _log_i_series(nu, z, cfg.series_terms_max)
-    else:
-        lv = _log_i_asym(nu, z)
-    if log:
-        return lv
-    if lv > _MAX_EXP:
-        raise OverflowError("I_nu(z) exceeds the floating-point range; "
-                            "request log=True for the log-scaled value")
-    return math.exp(lv)
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +315,8 @@ def metzler_density(s, t, q, config=None, flags=None):
     """
     s = float(s)
     t = float(t)
-    if not (s > 0 and t > 0):
-        raise ValueError("both passage times must be positive")
+    if not (0 < s < math.inf and 0 < t < math.inf):
+        raise ValueError("both passage times must be positive and finite")
     if s == t:
         raise ValueError("the joint density is defined off the diagonal only")
     cfg = _cfg(config)
@@ -438,8 +362,8 @@ def _joint_time_integral(u, q, phase, config):
 def conditional_fpt_density_D(s, q, config=None, flags=None):
     """Density of the v-side passage time given that edge is reached first."""
     s = float(s)
-    if s <= 0:
-        raise ValueError("passage time must be positive")
+    if not 0 < s < math.inf:
+        raise ValueError("passage time must be positive and finite")
     cfg = _cfg(config)
     phase = math.pi * (q.alpha - q.theta0) / q.alpha
     val, okc = _joint_time_integral(s, q, phase, cfg)
@@ -451,8 +375,8 @@ def conditional_fpt_density_D(s, q, config=None, flags=None):
 def conditional_fpt_density_E(t, q, config=None, flags=None):
     """Density of the x-side passage time given that edge is reached first."""
     t = float(t)
-    if t <= 0:
-        raise ValueError("passage time must be positive")
+    if not 0 < t < math.inf:
+        raise ValueError("passage time must be positive and finite")
     cfg = _cfg(config)
     phase = math.pi * q.theta0 / q.alpha
     val, okc = _joint_time_integral(t, q, phase, cfg)
@@ -569,8 +493,8 @@ def p_ystar_density(s, ell, params, config=None, flags=None):
 def _hit_density_point(s, ell, kappa, st2, rho, config, flags):
     s = float(s)
     ell = float(ell)
-    if not 0.0 < s < ell:
-        raise ValueError("hit time must satisfy 0 < s < ell")
+    if not 0.0 < s < ell < math.inf:
+        raise ValueError("hit time must satisfy 0 < s < ell < inf")
     vals, okc = _hit_density_core(np.array([s]), ell, kappa, st2, rho, _cfg(config))
     if not okc:
         _note(flags, FLAG_SERIES_CAP)
@@ -622,8 +546,8 @@ def p_ystar_total(ell, params, config=None, flags=None):
 
 def _hit_total_checked(ell, kappa, st2, rho, config, flags):
     ell = float(ell)
-    if ell <= 0:
-        raise ValueError("excursion length must be positive")
+    if not 0 < ell < math.inf:
+        raise ValueError("excursion length must be positive and finite")
     cfg = _cfg(config)
     value, err, ok = _hit_total(ell, kappa, st2, rho, cfg)
     if not ok:
@@ -637,77 +561,24 @@ def _hit_total_checked(ell, kappa, st2, rho, config, flags):
 # renewal intensities, direction probability, characteristic functions
 
 
-def _intensity_side(kappa, st2, weight, rho, config):
-    """One renewal intensity: weighted integral of the hit probability
-    against the excursion-length measure.  Returns (value, error, flags)."""
-    lmin, lmax = config.tail_cut
-    side_flags = []
-
-    def integrand(ell):
-        value, _, ok = _hit_total(ell, kappa, st2, rho, config)
-        if not ok:
-            _note(side_flags, FLAG_SERIES_CAP)
-        return value / math.sqrt(2.0 * math.pi * ell ** 3)
-
-    interior = [p for p in (0.01, 0.05, 0.2, 1.0, 5.0, 25.0, 125.0)
-                if lmin < p < lmax]
-    mid, mid_err = integrate.quad(integrand, lmin, lmax, points=interior,
-                                  limit=200, epsabs=1e-10, epsrel=1e-7)
-    # below lmin the integrand sits under the reflection envelope
-    c_env = kappa * kappa / (2.0 * st2)
-    below = (math.sqrt(st2) / (2.0 * math.pi * kappa)) * float(special.exp1(c_env / lmin))
-    # above lmax the hit probability is frozen and the power tail is exact
-    p_far, p_err, ok_far = _hit_total(lmax, kappa, st2, rho, config)
-    if not ok_far:
-        _note(side_flags, FLAG_SERIES_CAP)
-    tail_mass = math.sqrt(2.0 / math.pi) / math.sqrt(lmax)
-    value = weight * (mid + p_far * tail_mass)
-    error = weight * (mid_err + below + (1.0 - p_far + p_err) * tail_mass)
-    return value, error, side_flags
-
-
-@functools.lru_cache(maxsize=16)
-def _intensities_cached(params, config):
-    side_v, side_y = _hit_sides(params)
-    lam_minus = _intensity_side(side_v[0], side_v[1], side_v[2], params.rho, config)
-    lam_plus = _intensity_side(side_y[0], side_y[1], side_y[2], params.rho, config)
-    return lam_minus, lam_plus
-
-
-def renewal_intensities(params, config=None, flags=None):
-    """Arrival intensities (lambda_minus, lambda_plus), per unit excursion
-    local time, of excursions in which the corresponding bracketing process
-    reaches zero."""
-    cfg = _cfg(config)
-    (vm, em, fm), (vp, ep, fp) = _intensities_cached(params, cfg)
-    for f in fm + fp:
-        _note(flags, f)
-    if em > cfg.rel_tol * vm or ep > cfg.rel_tol * vp:
-        _note(flags, FLAG_TAIL)
-    return vm, vp
-
-
-def renewal_down_prob(params, config=None, flags=None):
-    """Probability that the first renewal shifts the price window down."""
-    lam_minus, lam_plus = renewal_intensities(params, config, flags)
-    return lam_minus / (lam_minus + lam_plus)
-
-
 class _CfSide:
     """Precomputed quadrature table for one bracketing side.
 
     The joint transform over hit time and excursion length integrates the
     length coordinate first (a positive, oscillation-free integrand), so the
     only complex exponential left lives on the hit-time axis where the panel
-    moments treat it exactly.  Beyond the upper length cutoff the hit density
-    is frozen at its cutoff shape, matching the tail handling of the
-    intensities; the induced bias is flagged by the caller.
+    moments treat it exactly.  At zero argument the same table gives the
+    side's renewal intensity ``lam_tab``.  Beyond the upper length cutoff
+    the hit density is frozen at its cutoff shape, and below the lower
+    cutoff the hit mass is certified by the reflection envelope;
+    ``tail_bias`` bounds the error of both, in the units of ``lam_tab``.
     """
 
     __slots__ = ("weight", "s_h", "s_m", "s_coefs", "l_h", "l_m", "l_coefs",
-                 "ptot_far", "lam_tab", "ok")
+                 "ptot_far", "lam_tab", "tail_bias", "ok")
 
-    def __init__(self, kappa, st2, weight, rho, lmin, lmax, config):
+    def __init__(self, kappa, st2, weight, rho, config):
+        lmin, lmax = config.tail_cut
         self.weight = weight
         ok = True
         tail_mass = math.sqrt(2.0 / math.pi) / math.sqrt(lmax)
@@ -753,6 +624,11 @@ class _CfSide:
         m_vals = m_vals + far_dens * tail_mass
         self.s_coefs = _filon_coefs(m_vals.reshape(-1, _GL_ORDER))
         self.lam_tab = weight * float(np.sum(m_vals * s_w))
+        # below lmin the length integrand sits under the reflection envelope;
+        # above lmax freezing the hit probability misses O(1 - p(lmax))
+        c_env = kappa * kappa / (2.0 * st2)
+        below = (math.sqrt(st2) / (2.0 * math.pi * kappa)) * float(special.exp1(c_env / lmin))
+        self.tail_bias = weight * (below + (1.0 - far_total) * tail_mass)
         self.ok = ok
 
     def numerator(self, alpha):
@@ -768,13 +644,36 @@ class _CfSide:
         return self.weight * (finite + tail)
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=16)
+def _cf_side(kappa, st2, weight, rho, config):
+    return _CfSide(kappa, st2, weight, rho, config)
+
+
 def _cf_table(params, config):
-    lmin, lmax = config.tail_cut
+    """The two side tables (v side, y side); sides with equal inputs are
+    one cached object."""
     side_v, side_y = _hit_sides(params)
-    tab_v = _CfSide(side_v[0], side_v[1], side_v[2], params.rho, lmin, lmax, config)
-    tab_y = _CfSide(side_y[0], side_y[1], side_y[2], params.rho, lmin, lmax, config)
-    return tab_v, tab_y
+    return (_cf_side(*side_v, params.rho, config),
+            _cf_side(*side_y, params.rho, config))
+
+
+def renewal_intensities(params, config=None, flags=None):
+    """Arrival intensities (lambda_minus, lambda_plus), per unit excursion
+    local time, of excursions in which the corresponding bracketing process
+    reaches zero."""
+    cfg = _cfg(config)
+    tab_v, tab_y = _cf_table(params, cfg)
+    if not (tab_v.ok and tab_y.ok):
+        _note(flags, FLAG_SERIES_CAP)
+    if any(t.tail_bias > cfg.rel_tol * t.lam_tab for t in (tab_v, tab_y)):
+        _note(flags, FLAG_TAIL)
+    return tab_v.lam_tab, tab_y.lam_tab
+
+
+def renewal_down_prob(params, config=None, flags=None):
+    """Probability that the first renewal shifts the price window down."""
+    lam_minus, lam_plus = renewal_intensities(params, config, flags)
+    return lam_minus / (lam_minus + lam_plus)
 
 
 def renewal_cf(alpha_arg, params, config=None, flags=None):
@@ -801,14 +700,9 @@ def renewal_cf(alpha_arg, params, config=None, flags=None):
     d_y = tab_y.denominator_part(alpha_arg, lmax)
     root = math.sqrt(abs(alpha_arg)) * complex(1.0, -math.copysign(1.0, alpha_arg))
     denom = d_v + d_y + (tab_v.weight + tab_y.weight) * root
-    lam_minus, lam_plus = renewal_intensities(params, cfg, flags)
-    # freezing the hit probability beyond the cutoff biases each piece by
-    # O((1 - p(lmax)) / sqrt(lmax)); surface it with the tail flag
-    tail_bias = ((1.0 - tab_v.ptot_far) * tab_v.weight
-                 + (1.0 - tab_y.ptot_far) * tab_y.weight) \
-        * math.sqrt(2.0 / math.pi) / math.sqrt(lmax)
-    if tail_bias > cfg.rel_tol * abs(denom):
+    if tab_v.tail_bias + tab_y.tail_bias > cfg.rel_tol * abs(denom):
         _note(flags, FLAG_TAIL)
+    lam_minus, lam_plus = tab_v.lam_tab, tab_y.lam_tab
     total = lam_minus + lam_plus
     cf_down = (total / lam_minus) * n_v / denom
     cf_up = (total / lam_plus) * n_y / denom

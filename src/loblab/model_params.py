@@ -199,8 +199,10 @@ def gh_inverse(g: float, h: float, params: ModelParams) -> tuple[float, float]:
     (w, x) half-plane, i.e. when h > g/b for g >= 0 or h > -g/a for g < 0.
     """
     a, b = params.a, params.b
+    # bounds compared as products: a quotient can round below an h that the
+    # forward map produced exactly on the image boundary
     if g >= 0:
-        if h > g / b:
+        if b * h > g:
             raise ValueError(
                 f"(g={g}, h={h}) outside transform image: requires h <= g/b when g >= 0"
             )
@@ -210,7 +212,7 @@ def gh_inverse(g: float, h: float, params: ModelParams) -> tuple[float, float]:
             w = g - h
         x = h
     else:
-        if h > -g / a:
+        if a * h > -g:
             raise ValueError(
                 f"(g={g}, h={h}) outside transform image: requires h <= -g/a when g < 0"
             )

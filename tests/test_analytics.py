@@ -8,7 +8,6 @@ from loblab import (
     DEFAULT_QUADRATURE,
     ModelParams,
     QuadratureConfig,
-    bessel_i,
     conditional_fpt_density_D,
     conditional_fpt_density_E,
     derive_constants,
@@ -56,75 +55,14 @@ class TestQuadratureConfig:
             {"series_terms_max": 0},
             {"tail_cut": (0.0, 1e3)},
             {"tail_cut": (1.0, 0.5)},
+            {"abs_tol": math.inf},
+            {"tail_cut": (1e-4, math.inf)},
+            {"series_terms_max": 2.5},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             QuadratureConfig(**kwargs)
-
-
-class TestBesselI:
-    def test_at_zero(self):
-        assert bessel_i(0.0, 0.0) == 1.0
-        assert bessel_i(0.5, 0.0) == 0.0
-        assert bessel_i(7.0, 0.0) == 0.0
-
-    @pytest.mark.parametrize("z", [0.5, 1.0, 5.0])
-    def test_half_order_closed_form(self, z):
-        # I_{1/2}(z) = sqrt(2/(pi z)) sinh(z)
-        closed = math.sqrt(2.0 / (math.pi * z)) * math.sinh(z)
-        assert bessel_i(0.5, z) == pytest.approx(closed, rel=1e-10)
-
-    def test_thirty_term_partial_sum(self):
-        # at z = 1 the 30-term ascending series is converged far beyond
-        # double precision, so it is an exact oracle
-        acc = 0.0
-        for k in range(29, -1, -1):
-            acc += 0.25**k / (math.factorial(k) ** 2)
-        assert bessel_i(0.0, 1.0) == pytest.approx(acc, rel=1e-12)
-
-    @pytest.mark.parametrize(
-        "nu, z, ref",
-        [
-            # fixed-precision references computed at 50 significant digits
-            (1.6, 2.5, 1.746557836059550647762948),
-            (7.0, 0.25, 9.479549397593002254963543e-11),
-            (0.0, 30.0, 781672297823.9774897173898),
-            (2.5, 120.0, 4.631852009201816428324068e50),
-            (15.0, 40.0, 892647993920712.7536064324),
-        ],
-    )
-    def test_reference_values(self, nu, z, ref):
-        assert bessel_i(nu, z) == pytest.approx(ref, rel=1e-12)
-
-    @pytest.mark.parametrize(
-        "nu, z, ref",
-        [
-            # log-scale references, covering the large-argument branch and
-            # the order-comparable-to-argument corner
-            (30.0, 300.0, 294.7283373198206613),
-            (3.0, 400.0, 396.07437803727885332),
-            (0.0, 800.0, 795.73891195074501878),
-        ],
-    )
-    def test_log_mode(self, nu, z, ref):
-        assert bessel_i(nu, z, log=True) == pytest.approx(ref, rel=1e-12)
-
-    def test_overflow_raises_without_log(self):
-        with pytest.raises(OverflowError):
-            bessel_i(0.0, 800.0)
-
-    @pytest.mark.parametrize("nu", [0.0, 0.5, 2.0, 7.3])
-    def test_monotone_in_argument(self, nu):
-        # grid straddles the series/asymptotic switch
-        grid = np.geomspace(0.01, 500.0, 60)
-        vals = [bessel_i(nu, float(z), log=True) for z in grid]
-        assert all(b > a for a, b in zip(vals, vals[1:]))
-
-    @pytest.mark.parametrize("nu, z", [(-1.0, 2.0), (math.inf, 1.0), (1.0, -0.5)])
-    def test_rejects_bad_domain(self, nu, z):
-        with pytest.raises(ValueError):
-            bessel_i(nu, z)
 
 
 class TestQuadrantParams:
@@ -231,7 +169,8 @@ class TestMetzlerDensity:
         assert FLAG_SERIES_CAP in flags
         assert math.isfinite(val)
 
-    @pytest.mark.parametrize("s, t", [(0.5, 0.5), (0.0, 1.0), (-0.2, 0.5), (0.5, 0.0)])
+    @pytest.mark.parametrize("s, t", [(0.5, 0.5), (0.0, 1.0), (-0.2, 0.5), (0.5, 0.0),
+                                      (math.inf, 1.0), (0.5, math.nan)])
     def test_rejects_bad_domain(self, q_default, s, t):
         with pytest.raises(ValueError):
             metzler_density(s, t, q_default)
@@ -268,6 +207,12 @@ class TestConditionalDensities:
             conditional_fpt_density_D(0.0, q_default)
         with pytest.raises(ValueError):
             conditional_fpt_density_E(-1.0, q_default)
+        # non-finite times are outside the domain too
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                conditional_fpt_density_D(bad, q_default)
+            with pytest.raises(ValueError):
+                conditional_fpt_density_E(bad, q_default)
 
 
 class TestExcursionKernels:
@@ -338,11 +283,13 @@ class TestHitDensities:
         assert vals[-1] < 1e-3
 
     def test_rejects_bad_times(self, constants):
-        for s, ell in [(0.0, 1.0), (1.0, 1.0), (1.5, 1.0), (0.5, 0.0)]:
+        for s, ell in [(0.0, 1.0), (1.0, 1.0), (1.5, 1.0), (0.5, 0.0),
+                       (1.0, math.inf), (math.nan, 1.0)]:
             with pytest.raises(ValueError):
                 p_vstar_density(s, ell, constants)
-        with pytest.raises(ValueError):
-            p_vstar_total(0.0, constants)
+        for ell in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                p_vstar_total(ell, constants)
 
 
 class TestHitTotals:
@@ -391,11 +338,25 @@ class TestRenewalIntensities:
         renewal_intensities(constants, flags=flags)
         assert FLAG_TAIL in flags
 
-    def test_agrees_with_transform_table(self, constants):
-        # same quantity by a second quadrature route
-        lam_minus, _ = renewal_intensities(constants)
-        tab_v, _ = _cf_table(constants, DEFAULT_QUADRATURE)
-        assert tab_v.lam_tab == pytest.approx(lam_minus, rel=1e-6)
+    def test_agrees_with_transform_table(self):
+        # independent reference: adaptive quadrature of the hit probability
+        # against the excursion-length measure over the tail cut, plus the
+        # frozen power tail beyond it
+        lmin, lmax = DEFAULT_QUADRATURE.tail_cut
+        pts = [0.01, 0.05, 0.2, 1.0, 5.0, 25.0, 125.0]
+        for model in (ModelParams(), ModelParams(theta_b=2.0)):
+            c = derive_constants(model)
+            lam_minus, _ = renewal_intensities(c)
+            mid, _ = integrate.quad(
+                lambda ell: p_vstar_total(ell, c) / math.sqrt(2.0 * math.pi * ell ** 3),
+                lmin, lmax, points=pts, limit=200, epsabs=1e-10, epsrel=1e-7)
+            far = p_vstar_total(lmax, c) * math.sqrt(2.0 / math.pi) / math.sqrt(lmax)
+            ref = (mid + far) / c.sigma_minus
+            assert lam_minus == pytest.approx(ref, rel=1e-6)
+
+    def test_symmetric_model_builds_one_side(self, constants):
+        tables = _cf_table(constants, DEFAULT_QUADRATURE)
+        assert tables[0] is tables[1]
 
 
 class TestRenewalDownProb:
