@@ -64,8 +64,9 @@ class QuadratureConfig:
     abs_tol, rel_tol
         Error targets for series truncation and quadrature.
     series_terms_max
-        Cap on the number of summed Bessel-series terms; hitting the cap
-        is reported through the ``flags`` mechanism, never by raising.
+        Cap on the number of Bessel-series terms summed at each point; the
+        stopping test is per point too.  A point hitting the cap is
+        reported through the ``flags`` mechanism, never by raising.
     tail_cut
         (lower, upper) cutoffs for improper integrals over excursion
         length.  Below the lower cutoff the integrand is certified small by
@@ -142,8 +143,8 @@ def quadrant_params(v1, x1, constants=None, *, sigma_plus=None,
         raise ValueError("v1 must be finite and positive")
     if not (math.isfinite(x1) and x1 < 0):
         raise ValueError("x1 must be finite and negative")
-    if not (sigma_plus > 0 and sigma_minus > 0):
-        raise ValueError("diffusion coefficients must be positive")
+    if not (0 < sigma_plus < math.inf and 0 < sigma_minus < math.inf):
+        raise ValueError("diffusion coefficients must be positive and finite")
     if not -1.0 < rho < 1.0:
         raise ValueError("correlation must lie strictly inside (-1, 1)")
     sin_a = math.sqrt(1.0 - rho * rho)
@@ -174,37 +175,39 @@ _LEG_M = (0.5 * (2.0 * np.arange(_GL_ORDER) + 1.0)[:, None]
 def _panel_nodes(edges):
     """Gauss-Legendre nodes/weights on consecutive panels.
 
+    Edges run along the last axis; leading axes index independent grids.
     Returns (nodes, weights, half_widths, midpoints); nodes and weights are
-    flattened in panel order.
+    flattened in panel order along the last axis.
     """
     edges = np.asarray(edges, dtype=float)
-    a = edges[:-1]
-    b = edges[1:]
+    a = edges[..., :-1]
+    b = edges[..., 1:]
     h = 0.5 * (b - a)
     m = 0.5 * (b + a)
-    nodes = (m[:, None] + h[:, None] * _GL_X[None, :]).ravel()
-    weights = (h[:, None] * _GL_W[None, :]).ravel()
+    flat = m.shape[:-1] + (-1,)
+    nodes = (m[..., None] + h[..., None] * _GL_X).reshape(flat)
+    weights = (h[..., None] * _GL_W).reshape(flat)
     return nodes, weights, h, m
 
 
 def _inner_edges(lo, ell, n_lead=14, n_tail=6):
     """Panel edges on (lo, ell): geometric growth from lo, geometric
-    shrinking into the right endpoint."""
-    lo = min(lo, 0.25 * ell)
+    shrinking into the right endpoint.  Broadcasts over lo and ell, the
+    edges running along a new last axis."""
+    ell = np.asarray(ell, dtype=float)
+    lo = np.minimum(lo, 0.25 * ell)
     mid = 0.5 * ell
-    lead = np.geomspace(lo, mid, n_lead + 1)
-    gaps = np.geomspace(mid, mid * 1e-3, n_tail)
-    tail = ell - gaps[1:]
-    return np.concatenate([lead, tail, [ell]])
+    lead = np.geomspace(lo, mid, n_lead + 1, axis=-1)
+    gaps = np.geomspace(mid, mid * 1e-3, n_tail, axis=-1)
+    tail = ell[..., None] - gaps[..., 1:]
+    return np.concatenate([lead, tail, ell[..., None]], axis=-1)
 
 
 def _legendre_moments(c):
     """Oscillatory panel moments: integral of P_k(x) e^{i c x} over [-1, 1]
     for k below the panel order, elementwise over c."""
     c = np.asarray(c, dtype=float)
-    ac = np.abs(c)
-    J = np.stack([special.spherical_jn(k, ac) for k in range(_GL_ORDER)],
-                 axis=-1)
+    J = special.spherical_jn(np.arange(_GL_ORDER), np.abs(c)[..., None])
     mom = 2.0 * (1j ** np.arange(_GL_ORDER)) * J
     neg = c < 0
     mom[neg, :] = np.conj(mom[neg, :])
@@ -240,50 +243,61 @@ def _osc_power_tail(alpha, L):
 # ---------------------------------------------------------------------------
 # wedge series shared by the joint passage density and the hit densities
 
+# Bessel orders per scaled-Bessel call on the points still summing
+_SERIES_BLOCK = 3
+
 
 def _wedge_sum_scaled(z, w, nu_step, kind, phase, config):
-    """Blockwise sum over n of coef(n) I_{n nu_step}(z) e^{-w}.
+    """Pointwise sum over n of coef(n) I_{n nu_step}(z) e^{-w}.
 
     kind "sine" uses coef(n) = n sin(n phase); kind "alt" uses
     coef(n) = (-1)^(n-1) n^2.  Each term is assembled from the scaled
     Bessel function times exp(z - w), a damping factor never above one
-    here, so nothing can overflow.  Truncation stops after three
-    consecutive orders whose largest scaled term falls below
-    abs_tol (1 + |partial|).  Returns (values, converged).
+    here, so nothing can overflow.  Orders are taken in blocks of
+    _SERIES_BLOCK and evaluated only at the points still summing; each
+    point stops on its own test, after three consecutive orders whose term
+    is at most abs_tol (1 + |partial|) for that point, and series_terms_max
+    caps each point's order count.  A point's value therefore does not
+    depend on the points it is batched with.  Returns (values, converged),
+    converged being False when any point reached the cap first.
     """
     z = np.asarray(z, dtype=float)
     w = np.asarray(w, dtype=float)
     shape = np.broadcast_shapes(z.shape, w.shape)
     zf = np.broadcast_to(z, shape).ravel()
-    wf = np.broadcast_to(w, shape).ravel()
-    damp = np.exp(zf - wf)
+    damp = np.exp(zf - np.broadcast_to(w, shape).ravel())
     total = np.zeros(zf.shape)
-    converged = False
-    small_run = 0
-    block = 16
+    # the still-summing points: their indices, partial sums and the count
+    # of consecutive small orders each has seen
+    idx = np.arange(zf.size)
+    part = np.zeros(zf.shape)
+    run = np.zeros(zf.shape, dtype=int)
     n0 = 1
-    while n0 <= config.series_terms_max and not converged:
-        n1 = min(n0 + block - 1, config.series_terms_max)
-        ns = np.arange(n0, n1 + 1, dtype=float)
+    while idx.size and n0 <= config.series_terms_max:
+        n1 = min(n0 + _SERIES_BLOCK - 1, config.series_terms_max)
+        ns = np.arange(n0, n1 + 1)
+        nf = ns.astype(float)
         if kind == "sine":
-            coef = ns * np.sin(ns * phase)
+            coef = nf * np.sin(nf * phase)
         else:
-            coef = np.where(np.arange(n0, n1 + 1) % 2 == 1, 1.0, -1.0) * ns * ns
+            coef = np.where(ns % 2 == 1, 1.0, -1.0) * nf * nf
         terms = (coef[:, None]
-                 * special.ive(ns[:, None] * nu_step, zf[None, :])
+                 * special.ive(nf[:, None] * nu_step, zf[None, :])
                  * damp[None, :])
-        total += terms.sum(axis=0)
-        threshold = config.abs_tol * (1.0 + np.max(np.abs(total), initial=0.0))
-        for row in np.max(np.abs(terms), axis=1, initial=0.0):
-            if row <= threshold:
-                small_run += 1
-                if small_run >= 3:
-                    converged = True
-                    break
-            else:
-                small_run = 0
+        done = np.zeros(idx.size, dtype=bool)
+        for row in terms:
+            part += row
+            small = np.abs(row) <= config.abs_tol * (1.0 + np.abs(part))
+            run = np.where(small, run + 1, 0)
+            done |= run >= 3
+        if done.any():
+            total[idx[done]] = part[done]
+            keep = ~done
+            idx, zf, damp, part, run = (idx[keep], zf[keep], damp[keep],
+                                        part[keep], run[keep])
         n0 = n1 + 1
-    return total.reshape(shape), bool(converged)
+    total[idx] = part
+    return total.reshape(shape), idx.size == 0
 
 
 def _wedge_joint(u, v, q, phase, config):
@@ -392,21 +406,23 @@ def conditional_fpt_density_E(t, q, config=None, flags=None):
 def kernel_K(t, x):
     """First-passage kernel sqrt(2/(pi t^3)) |x| exp(-x^2 / (2t))."""
     t = float(t)
-    if t <= 0:
-        raise ValueError("time must be positive")
+    if not 0 < t < math.inf:
+        raise ValueError("time must be positive and finite")
     x = float(x)
+    if not math.isfinite(x):
+        raise ValueError("state must be finite")
     return math.sqrt(2.0 / (math.pi * t ** 3)) * abs(x) * math.exp(-x * x / (2.0 * t))
 
 
 def kernel_p0(t, x, y):
     """Transition density of Brownian motion on (0, inf) absorbed at zero."""
     t = float(t)
-    if t <= 0:
-        raise ValueError("time must be positive")
+    if not 0 < t < math.inf:
+        raise ValueError("time must be positive and finite")
     x = float(x)
     y = float(y)
-    if x < 0 or y < 0:
-        raise ValueError("states must be nonnegative")
+    if not (0 <= x < math.inf and 0 <= y < math.inf):
+        raise ValueError("states must be nonnegative and finite")
     return (math.exp(-(x - y) ** 2 / (2.0 * t))
             - math.exp(-(x + y) ** 2 / (2.0 * t))) / math.sqrt(2.0 * math.pi * t)
 
@@ -422,16 +438,16 @@ def h_l(ell, s, a, t, b):
     t = float(t)
     a = float(a)
     b = float(b)
-    if not 0.0 <= s < t < ell:
-        raise ValueError("times must satisfy 0 <= s < t < ell")
-    if b < 0:
-        raise ValueError("target state must be nonnegative")
+    if not 0.0 <= s < t < ell < math.inf:
+        raise ValueError("times must satisfy 0 <= s < t < ell < inf")
+    if not 0 <= b < math.inf:
+        raise ValueError("target state must be nonnegative and finite")
     if s == 0.0:
         if a != 0.0:
             raise ValueError("the entrance case requires a = 0")
         return math.sqrt(math.pi * ell ** 3 / 2.0) * kernel_K(t, b) * kernel_K(ell - t, b)
-    if a <= 0:
-        raise ValueError("interior case requires a positive starting state")
+    if not 0 < a < math.inf:
+        raise ValueError("interior case requires a positive, finite starting state")
     return kernel_K(ell - t, b) / kernel_K(ell - s, a) * kernel_p0(t - s, a, b)
 
 
@@ -588,10 +604,7 @@ class _CfSide:
         l_nodes, l_w, self.l_h, self.l_m = _panel_nodes(
             np.geomspace(lmin, lmax, n_l + 1))
         lo_env = _envelope_cut(kappa, st2)
-        grids = [_panel_nodes(_inner_edges(min(lo_env, 0.25 * ell), ell))
-                 for ell in l_nodes]
-        s_mat = np.array([g[0] for g in grids])
-        w_mat = np.array([g[1] for g in grids])
+        s_mat, w_mat, _, _ = _panel_nodes(_inner_edges(lo_env, l_nodes))
         dens, okc = _hit_density_core(s_mat, l_nodes[:, None], kappa, st2,
                                       rho, config)
         ok &= okc
@@ -608,12 +621,8 @@ class _CfSide:
         s_nodes, s_w, self.s_h, self.s_m = _panel_nodes(
             np.geomspace(s_lo, lmax, n_s + 1))
         gap0 = (lmax - s_nodes) * 1e-9
-        edges = s_nodes[:, None] + np.stack(
-            [np.geomspace(g, lmax - s, 17) for g, s in zip(gap0, s_nodes)])
-        half = 0.5 * (edges[:, 1:] - edges[:, :-1])
-        mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
-        l_mat = (mid[:, :, None] + half[:, :, None] * _GL_X).reshape(len(s_nodes), -1)
-        lw_mat = (half[:, :, None] * _GL_W).reshape(len(s_nodes), -1)
+        l_mat, lw_mat, _, _ = _panel_nodes(
+            s_nodes[:, None] + np.geomspace(gap0, lmax - s_nodes, 17, axis=-1))
         dens_m, okm = _hit_density_core(s_nodes[:, None], l_mat, kappa, st2,
                                         rho, config)
         ok &= okm

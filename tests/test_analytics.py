@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from loblab import (
     DEFAULT_QUADRATURE,
@@ -26,7 +26,14 @@ from loblab import (
     renewal_down_prob,
     renewal_intensities,
 )
-from loblab.analytics import FLAG_SERIES_CAP, FLAG_TAIL, _cf_table
+from loblab.analytics import (
+    FLAG_SERIES_CAP,
+    FLAG_TAIL,
+    _cf_table,
+    _inner_edges,
+    _legendre_moments,
+    _wedge_sum_scaled,
+)
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +105,11 @@ class TestQuadrantParams:
             quadrant_params(1.0, -1.0, sigma_plus=1.0, sigma_minus=1.0, rho=-1.0)
         with pytest.raises(ValueError):
             quadrant_params(1.0, -1.0)
+        # a non-finite coefficient fails on its own constraint, not on the
+        # wedge geometry it would corrupt
+        for sp, sm in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)):
+            with pytest.raises(ValueError, match="diffusion coefficients"):
+                quadrant_params(1.0, -1.0, sigma_plus=sp, sigma_minus=sm, rho=0.0)
 
     def test_wedge_interior_invariant(self):
         # any start strictly inside the quadrant must land strictly inside
@@ -255,6 +267,86 @@ class TestExcursionKernels:
             h_l(1.0, 0.2, 0.0, 0.5, 0.2)   # interior needs a > 0
         with pytest.raises(ValueError):
             h_l(1.0, 0.2, 0.3, 0.5, -0.1)  # negative target
+        # non-finite arguments are outside the domain too
+        bad_calls = [
+            (kernel_K, (1.0, math.nan)),
+            (kernel_K, (1.0, math.inf)),
+            (kernel_K, (math.inf, 1.0)),
+            (kernel_p0, (math.inf, 0.5, 0.5)),
+            (kernel_p0, (1.0, math.inf, 0.5)),
+            (kernel_p0, (1.0, 0.5, math.nan)),
+            (h_l, (math.inf, 0.2, 0.3, 0.5, 0.2)),
+            (h_l, (1.0, 0.2, math.inf, 0.5, 0.2)),
+            (h_l, (1.0, 0.2, 0.3, 0.5, math.inf)),
+            (h_l, (1.0, 0.0, 0.0, 0.5, math.nan)),
+        ]
+        for func, args in bad_calls:
+            with pytest.raises(ValueError):
+                func(*args)
+
+
+class TestWedgeSeries:
+    # opening of the default model's wedge, so the order step is realistic
+    NU_STEP = math.pi / (2.0 * 0.9625507478846870011)
+    # large and tiny arguments side by side, with damping factors
+    # exp(z - w) from one down to underflow
+    Z = np.array([500.0, 480.0, 1e-3, 2e-3, 1.0, 1.0, 5.0, 300.0])
+    W = np.array([500.0, 520.0, 1e-3, 0.5, 800.0, 2000.0, 5.2, 1100.0])
+
+    @pytest.mark.parametrize("kind, phase", [("alt", 0.0), ("sine", 1.1)])
+    def test_batch_equals_points_alone(self, kind, phase):
+        vals, ok = _wedge_sum_scaled(self.Z, self.W, self.NU_STEP, kind, phase,
+                                     DEFAULT_QUADRATURE)
+        assert ok
+        for i in range(self.Z.size):
+            alone, ok_i = _wedge_sum_scaled(self.Z[i:i + 1], self.W[i:i + 1],
+                                            self.NU_STEP, kind, phase,
+                                            DEFAULT_QUADRATURE)
+            assert ok_i
+            assert alone[0] == vals[i]
+
+    @pytest.mark.parametrize("kind, phase", [("alt", 0.0), ("sine", 1.1)])
+    def test_matches_full_sum(self, kind, phase):
+        vals, _ = _wedge_sum_scaled(self.Z, self.W, self.NU_STEP, kind, phase,
+                                    DEFAULT_QUADRATURE)
+        ns = np.arange(1, 201, dtype=float)
+        if kind == "sine":
+            coef = ns * np.sin(ns * phase)
+        else:
+            coef = np.where(ns % 2 == 1, 1.0, -1.0) * ns * ns
+        ref = (coef[:, None] * special.ive(ns[:, None] * self.NU_STEP, self.Z)
+               * np.exp(self.Z - self.W)).sum(axis=0)
+        tol = 10.0 * DEFAULT_QUADRATURE.abs_tol * (1.0 + np.abs(ref))
+        assert np.all(np.abs(vals - ref) <= tol)
+
+    def test_cap_is_per_point(self):
+        # the small-argument point converges in a few orders; only the
+        # large one runs into a cap of 12
+        cfg = QuadratureConfig(series_terms_max=12)
+        z = np.array([1e-3, 500.0])
+        w = np.array([1e-3, 500.0])
+        _, ok_small = _wedge_sum_scaled(z[:1], w[:1], self.NU_STEP, "alt", 0.0, cfg)
+        _, ok_both = _wedge_sum_scaled(z, w, self.NU_STEP, "alt", 0.0, cfg)
+        assert ok_small
+        assert not ok_both
+
+
+class TestPanelTables:
+    def test_edges_for_many_lengths_match_one_at_a_time(self):
+        ells = np.geomspace(1e-4, 1e3, 60)
+        for lo in (3e-3, 1e-6):
+            table = _inner_edges(lo, ells)
+            for ell, row in zip(ells, table):
+                assert np.array_equal(row, _inner_edges(lo, float(ell)))
+
+    def test_moments_match_one_order_at_a_time(self):
+        c = np.concatenate([-np.geomspace(1e-3, 200.0, 40), [0.0],
+                            np.geomspace(1e-3, 200.0, 40)])
+        mom = _legendre_moments(c)
+        for k in range(mom.shape[1]):
+            ref = 2.0 * 1j ** k * special.spherical_jn(k, np.abs(c))
+            ref[c < 0] = np.conj(ref[c < 0])
+            assert np.array_equal(mom[:, k], ref)
 
 
 class TestHitDensities:
@@ -353,6 +445,15 @@ class TestRenewalIntensities:
             far = p_vstar_total(lmax, c) * math.sqrt(2.0 / math.pi) / math.sqrt(lmax)
             ref = (mid + far) / c.sigma_minus
             assert lam_minus == pytest.approx(ref, rel=1e-6)
+
+    def test_term_cap_is_flagged(self, constants):
+        flags = []
+        renewal_intensities(constants, config=QuadratureConfig(series_terms_max=2),
+                            flags=flags)
+        assert FLAG_SERIES_CAP in flags
+        flags = []
+        renewal_intensities(constants, flags=flags)
+        assert FLAG_SERIES_CAP not in flags
 
     def test_symmetric_model_builds_one_side(self, constants):
         tables = _cf_table(constants, DEFAULT_QUADRATURE)
