@@ -1,12 +1,16 @@
 """Event-driven simulation of the six-tick order-book window at scale n.
 
-The book keeps one signed order count per absolute price tick (buys
-positive, sells negative).  Six Poisson order flows act relative to the
-current bid and ask, which the interior pair (w, x) determines, and stale
-orders two or more ticks behind the market cancel at per-order rate
-theta/sqrt(n).  One event engine serves both the stopped book, run until a
-bracketing queue empties, and the free-running variant whose clocks follow
-the interior region regardless of the bracketing queues' values.
+The book is six signed order counts (buys positive, sells negative), one
+per slot of the window that starts at the absolute tick window_origin and
+holds the u, v, w, x, y, z queues.  Six Poisson order flows act relative to
+the current bid and ask, which the interior pair (w, x) determines, and
+stale orders two or more ticks behind the market cancel at per-order rate
+theta/sqrt(n).  Within one renewal epoch every event targets a window
+slot, so the six slots are the whole book; at a renewal the window shifts
+one tick and the queue that leaves it is dropped.  One event sampler
+serves both the stopped book, run until a bracketing queue empties, and
+the free-running variant whose clocks follow the interior region
+regardless of the bracketing queues' values.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ import numpy as np
 
 from .model_params import (
     DerivedConstants,
-    ModelParams,
     Region,
     gh_transform,
     region_of,
@@ -37,18 +40,6 @@ _ONE_TICK = frozenset(
     (Region.NE, Region.SE_plus, Region.SE, Region.SE_minus, Region.SW)
 )
 _TWO_TICK = frozenset((Region.E, Region.S))
-
-# bid and ask window positions implied by each interior configuration
-_BID_ASK = {
-    Region.NE: (3, 4),
-    Region.E: (2, 4),
-    Region.SE_plus: (2, 3),
-    Region.SE: (2, 3),
-    Region.SE_minus: (2, 3),
-    Region.S: (1, 3),
-    Region.SW: (1, 2),
-    Region.O: (1, 4),
-}
 
 
 class HorizonExceededError(RuntimeError):
@@ -102,6 +93,15 @@ class SimConfig:
             )
         if not all(math.isfinite(q) for q in state):
             raise ValueError(f"initial_scaled_state must be finite, got {state}")
+        try:
+            sqrt_n = math.sqrt(self.n)
+        except OverflowError:  # n beyond the float range
+            sqrt_n = math.inf
+        if not all(math.isfinite(sqrt_n * q) for q in state):
+            raise ValueError(
+                "sqrt(n) * initial_scaled_state must be finite (the unscaled"
+                f" start), got n={self.n}, state={state}"
+            )
         u, v, w, x, y, z = state
         if v <= 0:
             raise ValueError(f"initial scaled v must be positive, got {v}")
@@ -120,6 +120,11 @@ class SimConfig:
         step = float(self.grid_step)
         if not math.isfinite(step) or step <= 0:
             raise ValueError(f"grid_step must be positive, got {self.grid_step}")
+        if not math.isfinite(horizon / step):
+            raise ValueError(
+                "horizon / grid_step must be finite (the grid size), got"
+                f" {horizon} / {step}"
+            )
         object.__setattr__(self, "grid_step", step)
 
 
@@ -131,23 +136,28 @@ def _zero_occupation() -> dict[Region, float]:
 class LOBState:
     """Mutable state of one simulated book.
 
-    queues maps absolute price ticks to signed order counts; window_origin
-    is the absolute tick currently playing the leftmost (U) role; clock is
-    unscaled elapsed time; occupation accumulates unscaled time per interior
-    region and sums to clock exactly at event times.
+    queues holds the signed order counts of the six window slots, leftmost
+    (u role) first; slot i sits at absolute price tick window_origin + i.
+    clock is unscaled elapsed time; occupation accumulates unscaled time
+    per interior region and sums to clock exactly at event times.
     """
 
-    queues: dict[int, int]
+    queues: list[int]
     window_origin: int = 0
     clock: float = 0.0
     occupation: dict[Region, float] = field(default_factory=_zero_occupation)
     event_count: int = 0
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.queues, (list, tuple)) or len(self.queues) != 6:
+            raise ValueError(
+                f"queues must be six window counts, got {self.queues!r}"
+            )
+        self.queues = [operator.index(c) for c in self.queues]
+
     def window(self) -> tuple[int, int, int, int, int, int]:
-        """Signed counts of the six window ticks, leftmost first."""
-        o = self.window_origin
-        q = self.queues
-        return tuple(q.get(o + i, 0) for i in range(6))
+        """Signed counts of the six window slots, leftmost first."""
+        return tuple(self.queues)
 
 
 @dataclass(frozen=True)
@@ -182,35 +192,22 @@ class ScaledPathBundle:
 
 def path_stream(seed: int, path_index: int = 0) -> np.random.Generator:
     """Counter-based RNG stream for one path, split from (seed, path_index)."""
+    try:
+        path_index = operator.index(path_index)
+    except TypeError:
+        path_index = -1
+    if path_index < 0:
+        raise ValueError("path_index must be a non-negative integer")
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(path_index,))
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _primitive_rates(params: DerivedConstants) -> tuple[float, float, float]:
-    """Recover (lambda0, theta_b, theta_s), which determine the constants."""
-    lambda0 = params.c + params.mu1
-    theta_b = params.lambda2 * params.mu1 / (params.kappa_L * params.lambda1)
-    theta_s = -params.mu2 * params.lambda1 / (params.kappa_R * params.mu1)
-    return lambda0, theta_b, theta_s
-
-
-def _params_from_constants(params: DerivedConstants) -> ModelParams:
-    lambda0, theta_b, theta_s = _primitive_rates(params)
-    return ModelParams(
-        a=params.lambda1 / lambda0 + 1.0,
-        b=params.mu1 / params.mu0 + 1.0,
-        lambda0=lambda0,
-        theta_b=theta_b,
-        theta_s=theta_s,
-    )
-
-
 @lru_cache(maxsize=16)
 def _rate_table(params: DerivedConstants, n: int):
-    lambda0, theta_b, theta_s = _primitive_rates(params)
+    p = params.params
     # fixed order-flow rates, in the sampling order documented in _next_event
     fixed = (
-        lambda0,
+        p.lambda0,
         params.mu0,
         params.lambda1,
         params.lambda2,
@@ -218,38 +215,59 @@ def _rate_table(params: DerivedConstants, n: int):
         params.mu2,
     )
     sqrt_n = math.sqrt(n)
-    return fixed, sum(fixed), theta_b / sqrt_n, theta_s / sqrt_n
+    return fixed, sum(fixed), p.theta_b / sqrt_n, p.theta_s / sqrt_n
 
 
-def _next_event(queues, origin, rt, rng):
-    """Sample the next transition by competing exponential clocks.
+def _next_event(q, rates, exponential, uniform):
+    """Sample the next transition of the six-slot book q by Gillespie's method.
 
-    Returns (dt, tick, delta, region, category).  Categories 0..5 are the
-    fixed flows (market buy, market sell, limit buys one/two ticks below the
-    ask, limit sells one/two ticks above the bid); 6 and 7 are buy- and
-    sell-side cancellations.  The stream is consumed in a fixed order (one
-    exponential, then one uniform), so runs are reproducible.
+    Returns (dt, slot, delta, region, category): the holding time, the window
+    slot that changes by delta, the index in REGION_ORDER of the
+    interior region in force, and the flow.  Categories 0..5 are the fixed
+    flows (market buy, market sell, limit buys one/two ticks below the ask,
+    limit sells one/two ticks above the bid); 6 and 7 are buy- and sell-side
+    cancellations.  Stale buys sit at slots <= bid - 2 and stale sells at
+    slots >= ask + 2, so each pool spans at most two slots.  The stream is
+    consumed in a fixed order (one exponential, then one uniform), so runs
+    are reproducible.
     """
-    fixed, fixed_total, tb, ts = rt
-    w = queues.get(origin + 2, 0)
-    x = queues.get(origin + 3, 0)
-    region = region_of(w, x)
-    bid_rel, ask_rel = _BID_ASK[region]
-    bid = origin + bid_rel
-    ask = origin + ask_rel
-    cancel_bid = bid - 2
-    cancel_ask = ask + 2
-    buy_pool = 0
-    sell_pool = 0
-    for tick, count in queues.items():
-        if count > 0:
-            if tick <= cancel_bid:
-                buy_pool += count
-        elif count < 0 and tick >= cancel_ask:
-            sell_pool -= count
+    fixed, fixed_total, tb, ts = rates
+    q0, q1, w, x, q4, q5 = q
+    # region, bid and ask slots, and the stale pools: buys at slots
+    # <= bid - 2, sells at slots >= ask + 2
+    if x > 0:
+        if w < 0:
+            region_of(w, x)  # raises: the quadrant is unreachable
+        region, bid, ask = 0, 3, 4  # NE
+        buy_pool = (q0 if q0 > 0 else 0) + (q1 if q1 > 0 else 0)
+        sell_pool = 0
+    elif w < 0:
+        region, bid, ask = 6, 1, 2  # SW
+        buy_pool = 0
+        sell_pool = (-q4 if q4 < 0 else 0) + (-q5 if q5 < 0 else 0)
+    elif x == 0:
+        if w > 0:
+            region, bid, ask = 1, 2, 4  # E
+            buy_pool = q0 if q0 > 0 else 0
+        else:
+            region, bid, ask = 7, 1, 4  # O
+            buy_pool = 0
+        sell_pool = 0
+    else:
+        if w == 0:
+            region, bid = 5, 1  # S
+            buy_pool = 0
+        else:
+            s = w + x
+            region = 2 if s > 0 else 3 if s == 0 else 4  # SE+, SE, SE-
+            bid = 2
+            buy_pool = q0 if q0 > 0 else 0
+        ask = 3
+        sell_pool = -q5 if q5 < 0 else 0
+
     total = fixed_total + tb * buy_pool + ts * sell_pool
-    dt = rng.standard_exponential() / total
-    u = rng.random() * total
+    dt = exponential() / total
+    u = uniform() * total
 
     if u < fixed_total:
         if u < fixed[0]:
@@ -268,56 +286,49 @@ def _next_event(queues, origin, rt, rng):
             return dt, bid + 1, -1, region, 4
         return dt, bid + 2, -1, region, 5
 
+    # cancellations: u / rate counts orders into the pool, which is walked
+    # leftmost slot first
     u -= fixed_total
     if u < tb * buy_pool:
-        remaining = u / tb
-        chosen = cancel_bid
-        for tick in sorted(queues):
-            count = queues[tick]
-            if count > 0 and tick <= cancel_bid:
-                chosen = tick
-                if remaining < count:
-                    break
-                remaining -= count
-        return dt, chosen, -1, region, 6
-    remaining = (u - tb * buy_pool) / ts
-    chosen = cancel_ask
-    for tick in sorted(queues):
-        count = queues[tick]
-        if count < 0 and tick >= cancel_ask:
-            chosen = tick
-            if remaining < -count:
-                break
-            remaining += count
-    return dt, chosen, 1, region, 7
+        # the pool is positive here, so slot 0 or slot 1 is stale
+        if bid == 3 and q1 > 0 and (q0 <= 0 or u / tb >= q0):
+            return dt, 1, -1, region, 6
+        return dt, 0, -1, region, 6
+    if ask == 2 and q4 < 0 and (q5 >= 0 or (u - tb * buy_pool) / ts < -q4):
+        return dt, 4, 1, region, 7
+    if ask <= 3 and q5 < 0:
+        return dt, 5, 1, region, 7
+    # no stale sell: only rounding could carry u past the buy pool; the
+    # slot is the first one beyond the sell pool, as in the dict book
+    return dt, ask + 2, 1, region, 7
 
 
-_ADD_NEEDS_SELLS = {0}          # market buy executes against resting sells
-_ADD_NEEDS_NO_SELLS = {2, 3}    # limit buys must not land on resting sells
-_SUB_NEEDS_BUYS = {1}           # market sell executes against resting buys
-_SUB_NEEDS_NO_BUYS = {4, 5}     # limit sells must not land on resting buys
+# signed count each flow may find at its target slot: market buys execute
+# against resting sells and market sells against resting buys, limit buys
+# must not land on sells nor limit sells on buys; cancellations are free
+_INF = math.inf
+_ALLOWED = (
+    (-_INF, -1),
+    (1, _INF),
+    (0, _INF),
+    (0, _INF),
+    (-_INF, 0),
+    (-_INF, 0),
+    (-_INF, _INF),
+    (-_INF, _INF),
+)
+_FAULTS = (
+    "market buy at tick {} found no sell orders",
+    "market sell at tick {} found no buy orders",
+    "limit buy at tick {} would join sell orders",
+    "limit buy at tick {} would join sell orders",
+    "limit sell at tick {} would join buy orders",
+    "limit sell at tick {} would join buy orders",
+)
 
 
 def _fault(message: str):
     raise RuntimeError(f"model violation: {message}")
-
-
-def _apply_event(state: LOBState, dt, tick, delta, region, category, enforce):
-    queues = state.queues
-    before = queues.get(tick, 0)
-    if enforce:
-        if category in _ADD_NEEDS_SELLS and before >= 0:
-            _fault(f"market buy at tick {tick} found no sell orders")
-        if category in _ADD_NEEDS_NO_SELLS and before < 0:
-            _fault(f"limit buy at tick {tick} would join sell orders")
-        if category in _SUB_NEEDS_BUYS and before <= 0:
-            _fault(f"market sell at tick {tick} found no buy orders")
-        if category in _SUB_NEEDS_NO_BUYS and before > 0:
-            _fault(f"limit sell at tick {tick} would join buy orders")
-    queues[tick] = before + delta
-    state.occupation[region] += dt
-    state.clock += dt
-    state.event_count += 1
 
 
 def step_event(
@@ -332,12 +343,20 @@ def step_event(
     one order; the holding time lands in the occupation slot of the interior
     region that was in force.  Returns the same state object.
     """
-    o = state.window_origin
-    if state.queues.get(o + 1, 0) <= 0 or state.queues.get(o + 4, 0) >= 0:
+    q = state.queues
+    if q[1] <= 0 or q[4] >= 0:
         _fault("bracketing queues no longer bracket; step past a renewal")
-    rt = _rate_table(params, n)
-    dt, tick, delta, region, category = _next_event(state.queues, o, rt, rng)
-    _apply_event(state, dt, tick, delta, region, category, True)
+    dt, slot, delta, region, category = _next_event(
+        q, _rate_table(params, n), rng.standard_exponential, rng.random
+    )
+    before = q[slot]
+    lo, hi = _ALLOWED[category]
+    if not lo <= before <= hi:
+        _fault(_FAULTS[category].format(state.window_origin + slot))
+    q[slot] = before + delta
+    state.occupation[REGION_ORDER[region]] += dt
+    state.clock += dt
+    state.event_count += 1
     return state
 
 
@@ -366,7 +385,7 @@ def initial_state(config: SimConfig) -> LOBState:
             f"n={config.n} rounds the scaled y start {config.initial_scaled_state[4]}"
             " to an empty queue; increase n or the start value"
         )
-    return LOBState(queues={i: c for i, c in enumerate(counts)})
+    return LOBState(queues=counts)
 
 
 def _run_to_renewal(state, params, n, limit, rng):
@@ -374,33 +393,58 @@ def _run_to_renewal(state, params, n, limit, rng):
 
     The record keeps the pre-shift roles.  The state is mutated past the
     renewal: after a down move the window origin moves one tick left (the
-    old u, v, w, x queues take the v, w, x, y roles), after an up move one
-    tick right.
+    old u, v, w, x, y queues take the v, w, x, y, z roles, the new u slot is
+    empty and the old z queue leaves the window and is dropped), after an
+    up move one tick right (the old u queue is dropped and the new z slot is
+    empty).  The dropped queue no longer counts towards any pool, so the
+    state is for inspection: no caller steps a book past its renewal.
     """
-    rt = _rate_table(params, n)
-    queues = state.queues
-    while True:
-        o = state.window_origin
-        dt, tick, delta, region, category = _next_event(queues, o, rt, rng)
-        if state.clock + dt > limit:
-            raise HorizonExceededError(
-                f"no renewal by scaled time {limit / n}; last clock"
-                f" {state.clock / n}"
+    rates = _rate_table(params, n)
+    exponential, uniform = rng.standard_exponential, rng.random
+    allowed = _ALLOWED
+    q = state.queues
+    origin = state.window_origin
+    occ = [state.occupation[r] for r in REGION_ORDER]
+    clock = state.clock
+    events = state.event_count
+    try:
+        while True:
+            dt, slot, delta, region, category = _next_event(
+                q, rates, exponential, uniform
             )
-        _apply_event(state, dt, tick, delta, region, category, True)
-        v = queues.get(o + 1, 0)
-        y = queues.get(o + 4, 0)
-        if v == 0 or y == 0:
-            sqrt_n = math.sqrt(n)
-            record = RenewalRecord(
-                direction="down" if v == 0 else "up",
-                s_hat=state.clock / n,
-                state_at_renewal=tuple(
-                    queues.get(o + i, 0) / sqrt_n for i in range(6)
-                ),
-            )
-            state.window_origin = o - 1 if v == 0 else o + 1
-            return record
+            if clock + dt > limit:
+                raise HorizonExceededError(
+                    f"no renewal by scaled time {limit / n}; last clock"
+                    f" {clock / n}"
+                )
+            before = q[slot]
+            lo, hi = allowed[category]
+            if not lo <= before <= hi:
+                _fault(_FAULTS[category].format(origin + slot))
+            q[slot] = before + delta
+            occ[region] += dt
+            clock += dt
+            events += 1
+            if q[1] == 0 or q[4] == 0:
+                break
+    finally:
+        state.occupation.update(zip(REGION_ORDER, occ))
+        state.clock = clock
+        state.event_count = events
+    down = q[1] == 0
+    sqrt_n = math.sqrt(n)
+    record = RenewalRecord(
+        direction="down" if down else "up",
+        s_hat=clock / n,
+        state_at_renewal=tuple(c / sqrt_n for c in q),
+    )
+    if down:
+        state.queues = [0, *q[:5]]
+        state.window_origin = origin - 1
+    else:
+        state.queues = [*q[1:], 0]
+        state.window_origin = origin + 1
+    return record
 
 
 def run_until_renewal(
@@ -431,39 +475,41 @@ def run_scaled_path(
     accumulated exactly up to the grid instant.
     """
     n = config.n
-    state = initial_state(config)
+    q = initial_state(config).queues
     rng = path_stream(config.seed, path_index)
-    rt = _rate_table(params, n)
-    mparams = _params_from_constants(params)
+    exponential, uniform = rng.standard_exponential, rng.random
+    rates = _rate_table(params, n)
+    mparams = params.params
     sqrt_n = math.sqrt(n)
 
     steps = int(math.floor(config.horizon / config.grid_step + 1e-9))
     times = np.arange(steps + 1, dtype=float) * config.grid_step
     if config.horizon - times[-1] > 1e-9 * max(1.0, config.horizon):
         times = np.append(times, config.horizon)
-    grid = times * n
+    grid = (times * n).tolist()
 
     m = len(times)
     series = np.empty((m, 8))
     occupations = np.empty((m, len(REGION_ORDER)))
-    queues = state.queues
-    occ = state.occupation
+    occ = [0.0] * len(REGION_ORDER)
+    clock = 0.0
     gi = 0
     while gi < m:
-        o = state.window_origin
-        dt, tick, delta, region, category = _next_event(queues, o, rt, rng)
-        t_next = state.clock + dt
+        dt, slot, delta, region, category = _next_event(q, rates, exponential, uniform)
+        t_next = clock + dt
         while gi < m and grid[gi] < t_next:
-            scaled = [queues.get(o + i, 0) / sqrt_n for i in range(6)]
+            scaled = [c / sqrt_n for c in q]
             g, h = gh_transform(scaled[2], scaled[3], mparams)
             series[gi] = scaled + [g, h]
-            row = [occ[r] for r in REGION_ORDER]
-            row[_REGION_INDEX[region]] += grid[gi] - state.clock
+            row = occ.copy()
+            row[region] += grid[gi] - clock
             occupations[gi] = row
             gi += 1
         if gi == m:
             break
-        _apply_event(state, dt, tick, delta, region, category, False)
+        q[slot] += delta
+        occ[region] += dt
+        clock = t_next
     occupations /= n
     return ScaledPathBundle(times=times, series=series, occupations=occupations, n=n)
 

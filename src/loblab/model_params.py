@@ -42,7 +42,9 @@ class DerivedConstants:
     sigma_plus and sigma_minus are diffusion standard deviations per unit
     square-root time; kappa_L > 0 and kappa_R < 0 are the scaled queue levels
     the outer queues snap to; frac_one_tick/frac_two_tick are the limiting
-    fractions of time the spread is one/two ticks wide.
+    fractions of time the spread is one/two ticks wide.  params is the
+    :class:`ModelParams` they were derived from, so consumers read the
+    primitive rates from it instead of recovering them.
     """
 
     lambda1: float
@@ -60,6 +62,7 @@ class DerivedConstants:
     alpha_minus: float
     frac_one_tick: float
     frac_two_tick: float
+    params: ModelParams
 
 
 class Region(enum.Enum):
@@ -136,6 +139,7 @@ def derive_constants(params: ModelParams) -> DerivedConstants:
         alpha_minus=alpha_minus,
         frac_one_tick=frac_one_tick,
         frac_two_tick=frac_two_tick,
+        params=params,
     )
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from loblab import (
     HorizonExceededError,
@@ -17,6 +17,7 @@ from loblab import (
     martingale_drift_stat,
     occupation_fractions,
     path_stream,
+    region_of,
     run_scaled_path,
     run_until_renewal,
     step_event,
@@ -40,20 +41,20 @@ class ScriptRng:
         return self._uniforms.pop(0)
 
 
-# queue layouts putting the interior pair (ticks 2 and 3) in each region;
-# ticks 0..5 hold the u, v, w, x, y, z roles at window origin 0
+# six-slot books putting the interior pair (slots 2 and 3) in each region;
+# slots 0..5 hold the u, v, w, x, y, z roles
 PANEL_BOOKS = {
-    Region.NE: {0: 5, 1: 3, 2: 1, 3: 1, 4: -3, 5: -2},
-    Region.E: {0: 5, 1: 3, 2: 1, 3: 0, 4: -3, 5: -2},
-    Region.SE_plus: {0: 5, 1: 3, 2: 2, 3: -1, 4: -3, 5: -6},
-    Region.SE: {0: 5, 1: 3, 2: 1, 3: -1, 4: -3, 5: -6},
-    Region.SE_minus: {0: 5, 1: 3, 2: 1, 3: -2, 4: -3, 5: -6},
-    Region.S: {0: 5, 1: 3, 2: 0, 3: -1, 4: -3, 5: -6},
-    Region.SW: {0: 5, 1: 3, 2: -1, 3: -1, 4: -3, 5: -6},
-    Region.O: {0: 5, 1: 3, 2: 0, 3: 0, 4: -3, 5: -6},
+    Region.NE: [5, 3, 1, 1, -3, -2],
+    Region.E: [5, 3, 1, 0, -3, -2],
+    Region.SE_plus: [5, 3, 2, -1, -3, -6],
+    Region.SE: [5, 3, 1, -1, -3, -6],
+    Region.SE_minus: [5, 3, 1, -2, -3, -6],
+    Region.S: [5, 3, 0, -1, -3, -6],
+    Region.SW: [5, 3, -1, -1, -3, -6],
+    Region.O: [5, 3, 0, 0, -3, -6],
 }
 
-# (tick, delta) per fixed flow, in sampling order: market buy at the ask,
+# (slot, delta) per fixed flow, in sampling order: market buy at the ask,
 # market sell at the bid, limit buys one and two ticks below the ask,
 # limit sells one and two ticks above the bid
 PANEL_TARGETS = {
@@ -67,8 +68,8 @@ PANEL_TARGETS = {
     Region.O: ((4, 1), (1, -1), (3, 1), (2, 1), (2, -1), (3, -1)),
 }
 
-# stale-order pools for the books above: buy orders at ticks <= bid - 2 and
-# sell orders at ticks >= ask + 2 carry per-order cancellation clocks
+# stale-order pools for the books above: buy orders at slots <= bid - 2 and
+# sell orders at slots >= ask + 2 carry per-order cancellation clocks
 PANEL_POOLS = {
     Region.NE: (8, 0),        # u and v sit two behind the bid at 3
     Region.E: (5, 0),         # u only; bid at 2 shields v
@@ -78,6 +79,106 @@ PANEL_POOLS = {
     Region.S: (0, 6),         # bid at 1 shields both buy queues
     Region.SW: (0, 9),        # y and z sit two beyond the ask at 2
     Region.O: (0, 0),         # bid 1, ask 4: nothing is stale
+}
+
+
+def sample(book, uniforms):
+    """One draw of the six-slot sampler at n = 10^4, its region as a Region."""
+    rng = ScriptRng(uniforms)
+    dt, slot, delta, region, category = sim._next_event(
+        list(book), sim._rate_table(CONSTANTS, 10000), rng.standard_exponential, rng.random
+    )
+    return dt, slot, delta, REGION_ORDER[region], category
+
+
+# Reference for the six-slot sampler: the event sampler of the earlier
+# dict book, which kept one count per absolute tick and scanned the whole
+# book for stale orders.  It is kept here verbatim, apart from its name.
+_REF_BID_ASK = {
+    Region.NE: (3, 4),
+    Region.E: (2, 4),
+    Region.SE_plus: (2, 3),
+    Region.SE: (2, 3),
+    Region.SE_minus: (2, 3),
+    Region.S: (1, 3),
+    Region.SW: (1, 2),
+    Region.O: (1, 4),
+}
+
+
+def dict_next_event(queues, origin, rt, rng):
+    fixed, fixed_total, tb, ts = rt
+    w = queues.get(origin + 2, 0)
+    x = queues.get(origin + 3, 0)
+    region = region_of(w, x)
+    bid_rel, ask_rel = _REF_BID_ASK[region]
+    bid = origin + bid_rel
+    ask = origin + ask_rel
+    cancel_bid = bid - 2
+    cancel_ask = ask + 2
+    buy_pool = 0
+    sell_pool = 0
+    for tick, count in queues.items():
+        if count > 0:
+            if tick <= cancel_bid:
+                buy_pool += count
+        elif count < 0 and tick >= cancel_ask:
+            sell_pool -= count
+    total = fixed_total + tb * buy_pool + ts * sell_pool
+    dt = rng.standard_exponential() / total
+    u = rng.random() * total
+
+    if u < fixed_total:
+        if u < fixed[0]:
+            return dt, ask, 1, region, 0
+        u -= fixed[0]
+        if u < fixed[1]:
+            return dt, bid, -1, region, 1
+        u -= fixed[1]
+        if u < fixed[2]:
+            return dt, ask - 1, 1, region, 2
+        u -= fixed[2]
+        if u < fixed[3]:
+            return dt, ask - 2, 1, region, 3
+        u -= fixed[3]
+        if u < fixed[4]:
+            return dt, bid + 1, -1, region, 4
+        return dt, bid + 2, -1, region, 5
+
+    u -= fixed_total
+    if u < tb * buy_pool:
+        remaining = u / tb
+        chosen = cancel_bid
+        for tick in sorted(queues):
+            count = queues[tick]
+            if count > 0 and tick <= cancel_bid:
+                chosen = tick
+                if remaining < count:
+                    break
+                remaining -= count
+        return dt, chosen, -1, region, 6
+    remaining = (u - tb * buy_pool) / ts
+    chosen = cancel_ask
+    for tick in sorted(queues):
+        count = queues[tick]
+        if count < 0 and tick >= cancel_ask:
+            chosen = tick
+            if remaining < -count:
+                break
+            remaining += count
+    return dt, chosen, 1, region, 7
+
+
+# interior pairs (w, x) drawn per region
+_WX = {
+    Region.NE: lambda a, b: (a - 1, b),
+    Region.E: lambda a, b: (a, 0),
+    Region.SE_plus: lambda a, b: (a + b, -b),
+    Region.SE: lambda a, b: (a, -a),
+    Region.SE_minus: lambda a, b: (a, -a - b),
+    Region.S: lambda a, b: (0, -b),
+    Region.SW: lambda a, b: (-a, 1 - b),
+    Region.O: lambda a, b: (0, 0),
 }
 
 
@@ -119,6 +220,12 @@ class TestSimConfig:
             (dict(n=4, grid_step=0.0), "grid_step"),
             (dict(n=4, grid_step=-0.1), "grid_step"),
             (dict(n=4, grid_step=math.inf), "grid_step"),
+            (
+                dict(n=4, initial_scaled_state=(1e308, 1e308, 0.0, 0.0, -1e308, -1e308)),
+                "sqrt(n) * initial_scaled_state must be finite",
+            ),
+            (dict(n=4, horizon=1e300, grid_step=1e-300), "horizon / grid_step"),
+            (dict(n=10**400), "sqrt(n) * initial_scaled_state must be finite"),
         ],
     )
     def test_rejects(self, kwargs, fragment):
@@ -183,22 +290,12 @@ class TestPathStream:
     def test_counter_based_generator(self):
         assert type(path_stream(0).bit_generator).__name__ == "Philox"
 
-
-class TestPrimitiveRecovery:
-    @pytest.mark.parametrize(
-        "params",
-        [
-            ModelParams(),
-            ModelParams(a=1.2, b=1.7, lambda0=2.0, theta_b=2.0, theta_s=0.5),
-        ],
-    )
-    def test_round_trip_through_constants(self, params):
-        rebuilt = sim._params_from_constants(derive_constants(params))
-        assert rebuilt.a == pytest.approx(params.a, rel=1e-12)
-        assert rebuilt.b == pytest.approx(params.b, rel=1e-12)
-        assert rebuilt.lambda0 == pytest.approx(params.lambda0, rel=1e-12)
-        assert rebuilt.theta_b == pytest.approx(params.theta_b, rel=1e-12)
-        assert rebuilt.theta_s == pytest.approx(params.theta_s, rel=1e-12)
+    @pytest.mark.parametrize("path_index", [1.5, -1, "3"])
+    def test_rejects_bad_index(self, path_index):
+        with pytest.raises(ValueError, match="path_index must be a non-negative integer"):
+            path_stream(0, path_index)
+        with pytest.raises(ValueError, match="path_index must be a non-negative integer"):
+            run_until_renewal(SimConfig(n=100, horizon=50.0, seed=5), CONSTANTS, path_index)
 
 
 class TestEventPanels:
@@ -211,12 +308,10 @@ class TestEventPanels:
         cum = 0.0
         for category, rate in enumerate(fixed):
             probe = (cum + rate / 2) / total
-            dt, tick, delta, seen_region, seen_cat = sim._next_event(
-                dict(PANEL_BOOKS[region]), 0, rt, ScriptRng([probe])
-            )
+            dt, slot, delta, seen_region, seen_cat = sample(PANEL_BOOKS[region], [probe])
             assert seen_region is region
             assert seen_cat == category
-            assert (tick, delta) == PANEL_TARGETS[region][category]
+            assert (slot, delta) == PANEL_TARGETS[region][category]
             # the holding time exposes the total rate, so it also checks
             # which orders the engine counted as stale
             assert dt == 1.0 / total
@@ -228,53 +323,42 @@ class TestEventPanels:
         fixed, _, _, _ = sim._rate_table(CONSTANTS, 10000)
         interior = sum(
             rate
-            for (tick, _), rate in zip(PANEL_TARGETS[Region.NE], fixed)
-            if tick in (2, 3)
+            for (slot, _), rate in zip(PANEL_TARGETS[Region.NE], fixed)
+            if slot in (2, 3)
         )
         assert interior == pytest.approx(2.25, abs=0)
 
     def test_cancel_tick_selection_buys(self):
-        # NE book: u=5 at tick 0, v=3 at tick 1, both at or below bid-2 = 1;
-        # order slots 0..4 pick tick 0 and slots 5..7 pick tick 1
-        rt = sim._rate_table(CONSTANTS, 10000)
-        fixed, fixed_total, tb, ts = rt
+        # NE book: u=5 at slot 0, v=3 at slot 1, both at or below bid-2 = 1;
+        # order slots 0..4 pick slot 0 and order slots 5..7 pick slot 1
+        fixed, fixed_total, tb, ts = sim._rate_table(CONSTANTS, 10000)
         total = fixed_total + tb * 8
-        for slot, expected_tick in ((0.5, 0), (4.5, 0), (5.5, 1), (7.5, 1)):
-            probe = (fixed_total + tb * slot) / total
-            dt, tick, delta, region, cat = sim._next_event(
-                dict(PANEL_BOOKS[Region.NE]), 0, rt, ScriptRng([probe])
-            )
-            assert (cat, tick, delta) == (6, expected_tick, -1)
+        for order, expected_slot in ((0.5, 0), (4.5, 0), (5.5, 1), (7.5, 1)):
+            probe = (fixed_total + tb * order) / total
+            dt, slot, delta, region, cat = sample(PANEL_BOOKS[Region.NE], [probe])
+            assert (cat, slot, delta) == (6, expected_slot, -1)
 
     def test_cancel_tick_selection_sells(self):
-        # SW book: y=-3 at tick 4, z=-6 at tick 5, both at or beyond
-        # ask+2 = 4; order slots 0..2 pick tick 4 and slots 3..8 pick tick 5
-        rt = sim._rate_table(CONSTANTS, 10000)
-        fixed, fixed_total, tb, ts = rt
+        # SW book: y=-3 at slot 4, z=-6 at slot 5, both at or beyond
+        # ask+2 = 4; order slots 0..2 pick slot 4 and order slots 3..8 pick slot 5
+        fixed, fixed_total, tb, ts = sim._rate_table(CONSTANTS, 10000)
         total = fixed_total + ts * 9
-        for slot, expected_tick in ((0.5, 4), (2.5, 4), (3.5, 5), (8.5, 5)):
-            probe = (fixed_total + ts * slot) / total
-            dt, tick, delta, region, cat = sim._next_event(
-                dict(PANEL_BOOKS[Region.SW]), 0, rt, ScriptRng([probe])
-            )
-            assert (cat, tick, delta) == (7, expected_tick, 1)
+        for order, expected_slot in ((0.5, 4), (2.5, 4), (3.5, 5), (8.5, 5)):
+            probe = (fixed_total + ts * order) / total
+            dt, slot, delta, region, cat = sample(PANEL_BOOKS[Region.SW], [probe])
+            assert (cat, slot, delta) == (7, expected_slot, 1)
 
     def test_leftmost_queue_cancelable_off_the_positive_side(self):
-        # with the interior pair at SE the bid is at tick 2, so the u queue
+        # with the interior pair at SE the bid is at slot 2, so the u queue
         # is stale while v is shielded; the z queue is stale symmetrically
-        rt = sim._rate_table(CONSTANTS, 10000)
-        fixed, fixed_total, tb, ts = rt
+        fixed, fixed_total, tb, ts = sim._rate_table(CONSTANTS, 10000)
         total = fixed_total + tb * 5 + ts * 6
         probe_buy = (fixed_total + tb * 2.5) / total
-        _, tick, delta, _, cat = sim._next_event(
-            dict(PANEL_BOOKS[Region.SE]), 0, rt, ScriptRng([probe_buy])
-        )
-        assert (cat, tick, delta) == (6, 0, -1)
+        _, slot, delta, _, cat = sample(PANEL_BOOKS[Region.SE], [probe_buy])
+        assert (cat, slot, delta) == (6, 0, -1)
         probe_sell = (fixed_total + tb * 5 + ts * 3.0) / total
-        _, tick, delta, _, cat = sim._next_event(
-            dict(PANEL_BOOKS[Region.SE]), 0, rt, ScriptRng([probe_sell])
-        )
-        assert (cat, tick, delta) == (7, 5, 1)
+        _, slot, delta, _, cat = sample(PANEL_BOOKS[Region.SE], [probe_sell])
+        assert (cat, slot, delta) == (7, 5, 1)
 
     def test_cancellation_clock_vanishes_with_scale(self):
         # per-order rate theta_b / sqrt(n) tends to zero at fixed queue size
@@ -282,34 +366,36 @@ class TestEventPanels:
         assert tb * 1000 < 1e-4
 
     def test_origin_offset_shifts_all_ticks(self):
-        # the same book shifted by +10 ticks produces the same event at
-        # shifted coordinates
-        rt = sim._rate_table(CONSTANTS, 10000)
-        fixed, fixed_total, tb, ts = rt
+        # the same book with its window at absolute tick 10: the market buy
+        # lands on the ask slot 4, absolute tick 14, in the NE panel
+        fixed, fixed_total, tb, ts = sim._rate_table(CONSTANTS, 10000)
         total = fixed_total + tb * 8
         probe = (fixed[0] / 2) / total
-        shifted = {t + 10: c for t, c in PANEL_BOOKS[Region.NE].items()}
-        _, tick, delta, region, cat = sim._next_event(shifted, 10, rt, ScriptRng([probe]))
-        assert (tick, delta, cat) == (14, 1, 0)
-        assert region is Region.NE
+        state = LOBState(queues=PANEL_BOOKS[Region.NE], window_origin=10)
+        step_event(state, CONSTANTS, 10000, ScriptRng([probe]))
+        changed = [
+            state.window_origin + i
+            for i, (old, new) in enumerate(zip(PANEL_BOOKS[Region.NE], state.queues))
+            if old != new
+        ]
+        assert changed == [14]
+        assert state.queues[4] - PANEL_BOOKS[Region.NE][4] == 1
+        assert state.window_origin == 10
+        assert state.occupation[Region.NE] == state.clock == 1.0 / total
 
 
 class TestStepEvent:
     def test_advances_one_queue_by_one(self):
         state = initial_state(SimConfig(n=10000))
-        before = dict(state.queues)
+        before = list(state.queues)
         out = step_event(state, CONSTANTS, 10000, path_stream(0))
         assert out is state
         assert state.event_count == 1
         assert state.clock > 0.0
-        changed = {
-            t
-            for t in set(before) | set(state.queues)
-            if before.get(t, 0) != state.queues.get(t, 0)
-        }
+        changed = [i for i in range(6) if before[i] != state.queues[i]]
         assert len(changed) == 1
-        tick = changed.pop()
-        assert abs(state.queues.get(tick, 0) - before.get(tick, 0)) == 1
+        slot = changed.pop()
+        assert abs(state.queues[slot] - before[slot]) == 1
 
     def test_holding_time_lands_in_current_region(self):
         # the default start has w = x = 0, so the first interval is O time
@@ -319,12 +405,12 @@ class TestStepEvent:
         assert sum(state.occupation.values()) == pytest.approx(state.clock, rel=1e-15)
 
     def test_rejects_stepped_past_renewal(self):
-        state = LOBState(queues={0: 5, 1: 0, 2: 0, 3: 0, 4: -3, 5: -1})
+        state = LOBState(queues=[5, 0, 0, 0, -3, -1])
         with pytest.raises(RuntimeError, match="model violation"):
             step_event(state, CONSTANTS, 100, path_stream(0))
 
     def test_rejects_empty_ask_side(self):
-        state = LOBState(queues={0: 5, 1: 2, 2: 0, 3: 0, 4: 0, 5: 0})
+        state = LOBState(queues=[5, 2, 0, 0, 0, 0])
         with pytest.raises(RuntimeError, match="model violation"):
             step_event(state, CONSTANTS, 100, path_stream(0))
 
@@ -341,12 +427,24 @@ class TestStepEvent:
             (5, -1, 3, "limit sell"),
         ],
     )
-    def test_coexistence_faults(self, category, delta, count, fragment):
-        state = LOBState(queues={2: count})
-        with pytest.raises(RuntimeError) as exc:
-            sim._apply_event(state, 0.1, 2, delta, Region.O, category, True)
-        assert "model violation" in str(exc.value)
-        assert fragment in str(exc.value)
+    def test_coexistence_faults(self, monkeypatch, category, delta, count, fragment):
+        # a sampler that targets slot 2 with the given flow, whatever the
+        # book: both stepping routes must refuse the event and leave slot 2
+        monkeypatch.setattr(
+            sim, "_next_event", lambda *args: (0.1, 2, delta, 7, category)
+        )
+        runs = (
+            lambda state: step_event(state, CONSTANTS, 100, path_stream(0)),
+            lambda state: sim._run_to_renewal(state, CONSTANTS, 100, 1e9, path_stream(0)),
+        )
+        for run in runs:
+            state = LOBState(queues=[1, 1, count, 0, -1, 0], window_origin=7)
+            with pytest.raises(RuntimeError) as exc:
+                run(state)
+            assert "model violation" in str(exc.value)
+            assert fragment in str(exc.value)
+            assert "tick 9" in str(exc.value)
+            assert state.queues[2] == count
 
 
 class TestRunUntilRenewal:
@@ -383,12 +481,13 @@ class TestRunUntilRenewal:
         record = sim._run_to_renewal(state, CONSTANTS, cfg.n, cfg.n * cfg.horizon, rng)
         assert record.direction == "down"
         assert state.window_origin == -1
-        assert state.queues.get(1, 0) == 0
         # the emptied queue moves from the v role to the w role
         assert state.window()[2] == 0
-        # the record keeps pre-shift roles: entries read off ticks 0..5
-        expected = tuple(state.queues.get(i, 0) / 10.0 for i in range(6))
-        assert record.state_at_renewal == expected
+        # the record keeps pre-shift roles: the old u..y now fill slots 1..5,
+        # the new u slot is empty and the old z left the window
+        assert state.queues[0] == 0
+        expected = tuple(c / 10.0 for c in state.queues[1:])
+        assert record.state_at_renewal[:5] == expected
 
     def test_up_relabels_window_right(self):
         cfg = SimConfig(n=100, horizon=50.0, seed=5)
@@ -397,9 +496,13 @@ class TestRunUntilRenewal:
         record = sim._run_to_renewal(state, CONSTANTS, cfg.n, cfg.n * cfg.horizon, rng)
         assert record.direction == "up"
         assert state.window_origin == 1
-        assert state.queues.get(4, 0) == 0
         # the emptied queue moves from the y role to the x role
         assert state.window()[3] == 0
+        # the old v..z now fill slots 0..4, the new z slot is empty and the
+        # old u left the window
+        assert state.queues[5] == 0
+        expected = tuple(c / 10.0 for c in state.queues[:5])
+        assert record.state_at_renewal[1:] == expected
 
     def test_zero_horizon_raises(self):
         with pytest.raises(HorizonExceededError):
@@ -583,13 +686,121 @@ class TestRunInvariants:
         rng = path_stream(seed)
         taken = 0
         for _ in range(steps):
-            if state.queues.get(1, 0) == 0 or state.queues.get(4, 0) == 0:
+            if state.queues[1] == 0 or state.queues[4] == 0:
                 break
             step_event(state, CONSTANTS, n, rng)
             taken += 1
-            buys = [t for t, q in state.queues.items() if q > 0]
-            sells = [t for t, q in state.queues.items() if q < 0]
+            buys = [t for t, q in enumerate(state.queues) if q > 0]
+            sells = [t for t, q in enumerate(state.queues) if q < 0]
             if buys and sells:
                 assert max(buys) < min(sells)
         assert state.event_count == taken
         assert sum(state.occupation.values()) == pytest.approx(state.clock, rel=1e-12)
+
+
+class TestSamplerEquivalence:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        region=st.sampled_from(REGION_ORDER),
+        ab=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+        outer=st.tuples(*[st.integers(-6, 6)] * 4),
+        origin=st.integers(-20, 20),
+        theta_b=st.sampled_from([1.0, 2.0]),
+        n=st.sampled_from([1, 4, 100, 10000]),
+        exponential=st.floats(1e-3, 20.0),
+        boundary=st.one_of(
+            st.none(),
+            st.tuples(
+                st.sampled_from(["flow", "buy", "sell"]),
+                st.integers(0, 12),
+                st.sampled_from([-1, 0, 1]),
+            ),
+        ),
+        free=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    # exact ties at n = 4 (total rate 8): u lands on the first stale slot's
+    # last order, which belongs to the next slot, for buys and for sells
+    @example(Region.NE, (1, 1), (3, 4, -2, -1), 5, 1.0, 4, 1.0, ("buy", 3, 0), 0.0)
+    @example(Region.SW, (1, 1), (0, 2, -3, -4), -7, 1.0, 4, 1.0, ("sell", 3, 0), 0.0)
+    def test_matches_dict_book(
+        self, region, ab, outer, origin, theta_b, n, exponential, boundary, free
+    ):
+        # random six-slot books in every region, empty pools included,
+        # against the dict-book sampler at a shifted origin; the uniform is
+        # either free or placed on (or one ulp either side of) a boundary
+        # between flows, between stale orders, or between the two pools
+        w, x = _WX[region](*ab)
+        u, v, y, z = outer
+        book = [u, v, w, x, y, z]
+        assert region_of(w, x) is region
+        rt = sim._rate_table(derive_constants(ModelParams(theta_b=theta_b)), n)
+        fixed, fixed_total, tb, ts = rt
+        bid, ask = _REF_BID_ASK[region]
+        buy_pool = sum(c for i, c in enumerate(book) if c > 0 and i <= bid - 2)
+        sell_pool = -sum(c for i, c in enumerate(book) if c < 0 and i >= ask + 2)
+        total = fixed_total + tb * buy_pool + ts * sell_pool
+        uniform = free
+        if boundary is not None:
+            kind, pick, nudge = boundary
+            edges = {
+                "flow": list(np.cumsum(fixed)),
+                "buy": [fixed_total + tb * k for k in range(buy_pool + 1)],
+                "sell": [
+                    fixed_total + tb * buy_pool + ts * k for k in range(sell_pool + 1)
+                ],
+            }[kind]
+            uniform = edges[pick % len(edges)] / total
+            if nudge:
+                uniform = float(np.nextafter(uniform, 2.0 * nudge))
+            uniform = min(max(uniform, 0.0), float(np.nextafter(1.0, 0.0)))
+
+        expected = dict_next_event(
+            {origin + i: c for i, c in enumerate(book)},
+            origin,
+            rt,
+            ScriptRng([uniform], exponential),
+        )
+        rng = ScriptRng([uniform], exponential)
+        dt, slot, delta, seen_region, category = sim._next_event(
+            book, rt, rng.standard_exponential, rng.random
+        )
+        assert (dt, origin + slot, delta, REGION_ORDER[seen_region], category) == expected
+
+
+class TestPinnedStreams:
+    # exact values of the earlier dict-book engine on the same streams
+
+    def test_renewal_records(self):
+        cfg = SimConfig(n=100, horizon=50.0, seed=5)
+        assert run_until_renewal(cfg, CONSTANTS, 0) == sim.RenewalRecord(
+            "up", 0.11769011626698472, (0.3, 0.9, 0.3, 0.3, 0.0, -0.8)
+        )
+        assert run_until_renewal(cfg, CONSTANTS, 1) == sim.RenewalRecord(
+            "down", 0.19739517302109713, (1.4, 0.0, -0.1, -0.5, -0.2, -0.2)
+        )
+
+    def test_pinned_start_record(self):
+        c = derive_constants(ModelParams(theta_b=2.0))
+        start = (0.75, c.kappa_L, 0.0, 0.0, c.kappa_R, -0.75)
+        cfg = SimConfig(n=10**4, horizon=100.0, seed=401, initial_scaled_state=start)
+        record = run_until_renewal(cfg, c, 0)
+        assert (record.direction, record.s_hat) == ("down", 0.508502158752042)
+
+    def test_scaled_path_final_row(self):
+        c = derive_constants(ModelParams(theta_b=2.0))
+        start = (0.75, c.kappa_L, 0.0, 0.0, c.kappa_R, -0.75)
+        cfg = SimConfig(n=2500, horizon=2.0, seed=401, initial_scaled_state=start)
+        bundle = run_scaled_path(cfg, c, 0)
+        assert bundle.series[-1].tolist() == [
+            0.0, 0.18, 2.2, 0.04, 0.68, -1.36, 2.2600000000000002, 0.04
+        ]
+        assert bundle.occupations[-1].tolist() == [
+            0.6169229674600574,
+            0.6378845664194407,
+            0.6196437522640346,
+            0.0013404459307725682,
+            0.027161376432523077,
+            0.0524665773275677,
+            0.04255458877364861,
+            0.002025725391960632,
+        ]

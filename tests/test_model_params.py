@@ -39,6 +39,17 @@ class TestDeriveConstants:
         assert d.c == pytest.approx(1.0 / 3.0, rel=1e-14)
 
     @pytest.mark.parametrize(
+        "params",
+        [
+            ModelParams(),
+            ModelParams(a=1.2, b=1.7, lambda0=2.0, theta_b=2.0, theta_s=0.5),
+        ],
+    )
+    def test_carries_its_params(self, params):
+        # consumers read the primitives from here instead of recovering them
+        assert derive_constants(params).params == params
+
+    @pytest.mark.parametrize(
         "params, fragment",
         [
             (ModelParams(a=1.0), "a > 1"),
