@@ -8,9 +8,9 @@ The package splits into four modules:
   (G, H) change of variables.
 - ``lob_simulator``: exact event-driven simulation of the scaled book,
   renewal detection, and occupation/martingale statistics.
-- ``limit_processes``: two-speed Brownian motion (three constructions),
-  Skorohod-map machinery, excursion sampling, and the bracketing limit
-  processes with their renewal times.
+- ``limit_processes``: two-speed Brownian motion by an occupation-clock
+  time change, excursion decomposition, and the bracketing limit processes
+  with their renewal times.
 - ``analytics``: wedge exit probabilities and passage-time densities,
   excursion hit-time densities, renewal intensities and characteristic
   functions, and the excursion kernels.
@@ -47,14 +47,8 @@ from .limit_processes import (
     TwoSpeedParams,
     ExcursionList,
     LimitRenewalSample,
-    skorohod_map,
-    phi_coupling,
-    psi_construct,
     sample_two_speed_timechange,
-    sample_two_speed_psi,
-    sample_two_speed_skewflip,
     decompose_excursions,
-    sample_excursion,
     build_bracketing_limits,
     simulate_renewal_limit,
     grid_path_to_csv,
@@ -109,14 +103,8 @@ __all__ = [
     "TwoSpeedParams",
     "ExcursionList",
     "LimitRenewalSample",
-    "skorohod_map",
-    "phi_coupling",
-    "psi_construct",
     "sample_two_speed_timechange",
-    "sample_two_speed_psi",
-    "sample_two_speed_skewflip",
     "decompose_excursions",
-    "sample_excursion",
     "build_bracketing_limits",
     "simulate_renewal_limit",
     "grid_path_to_csv",

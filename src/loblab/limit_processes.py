@@ -2,12 +2,10 @@
 
 The limiting interior coordinate is a two-speed Brownian motion: a Brownian
 motion run through an occupation-split time change so that its positive and
-negative sides diffuse at different rates.  This module builds that process
-three equivalent ways (time change, coupled reflection split, excursion sign
-flipping), provides the reflection map and the time-split coupling behind the
-second construction, decomposes grid paths into excursions, samples Brownian
-excursions of a given length, overlays the pinned bracketing processes that
-the outer queues follow, and simulates the limit system to its first renewal.
+negative sides diffuse at different rates.  This module samples that process
+by inverting its occupation clock, decomposes grid paths into excursions,
+overlays the pinned bracketing processes that the outer queues follow, and
+simulates the limit system to its first renewal.
 
 All sampling operations are pure functions of their inputs and the supplied
 generator: equal inputs and an equally seeded generator reproduce the same
@@ -19,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 import os
 
 import numpy as np
@@ -31,14 +30,8 @@ __all__ = [
     "TwoSpeedParams",
     "ExcursionList",
     "LimitRenewalSample",
-    "skorohod_map",
-    "phi_coupling",
-    "psi_construct",
     "sample_two_speed_timechange",
-    "sample_two_speed_psi",
-    "sample_two_speed_skewflip",
     "decompose_excursions",
-    "sample_excursion",
     "build_bracketing_limits",
     "simulate_renewal_limit",
     "grid_path_to_csv",
@@ -221,76 +214,8 @@ class LimitRenewalSample:
         object.__setattr__(self, "g_at_renewal", g)
 
 
-def skorohod_map(z: GridPath) -> GridPath:
-    """Reflection term of a path: the running maximum of (-z) floored at zero.
-
-    Adding the result to ``z`` gives the path reflected to stay nonnegative.
-    The result is nondecreasing and increases only where the reflected path
-    touches zero.
-    """
-    values = np.maximum(np.maximum.accumulate(-z.values), 0.0)
-    return GridPath(z.t0, z.dt, values)
-
-
-def _check_coupling_inputs(z_plus: GridPath, z_minus: GridPath) -> None:
-    if z_plus.t0 != 0.0 or z_minus.t0 != 0.0:
-        raise ValueError("time-split coupling requires grids starting at time zero")
-    if z_plus.dt != z_minus.dt or len(z_plus) != len(z_minus):
-        raise ValueError("both paths must share one grid")
-    if z_plus.values[0] != 0.0 or z_minus.values[0] != 0.0:
-        raise ValueError("both paths must start at zero")
-
-
-def _phi_indices(z_plus: GridPath, z_minus: GridPath) -> np.ndarray:
-    """Split indices k[i] = max{k <= i : gamma_plus[k] <= gamma_minus[i-k]}.
-
-    Both reflection terms are nondecreasing, so each split index k becomes
-    feasible at the first grid index i = k + min{j : gamma_minus[j] >=
-    gamma_plus[k]} and stays feasible afterwards; the running maximum over
-    arrival buckets therefore reproduces the exact maximiser.
-    """
-    gamma_plus = np.maximum(np.maximum.accumulate(-z_plus.values), 0.0)
-    gamma_minus = np.maximum(np.maximum.accumulate(-z_minus.values), 0.0)
-    n = gamma_plus.size - 1
-    arrival = np.arange(n + 1) + np.searchsorted(gamma_minus, gamma_plus, side="left")
-    np.minimum(arrival, n + 1, out=arrival)
-    best = np.full(n + 2, -1, dtype=np.int64)
-    np.maximum.at(best, arrival, np.arange(n + 1))
-    return np.maximum.accumulate(best[: n + 1])
-
-
-def phi_coupling(z_plus: GridPath, z_minus: GridPath) -> tuple[GridPath, GridPath]:
-    """Split the grid clock between two reflected paths.
-
-    At each grid time theta the first output spends ``p_plus(theta)``, the
-    largest grid time nu <= theta whose reflection term of ``z_plus`` does
-    not exceed the reflection term of ``z_minus`` at theta - nu; the second
-    output is the complement theta - p_plus(theta).  Both are nondecreasing
-    from zero with increments of zero or one grid step.
-    """
-    _check_coupling_inputs(z_plus, z_minus)
-    k = _phi_indices(z_plus, z_minus)
-    dt = z_plus.dt
-    complement = np.arange(k.size) - k
-    return GridPath(0.0, dt, dt * k), GridPath(0.0, dt, dt * complement)
-
-
-def psi_construct(z_plus: GridPath, z_minus: GridPath) -> GridPath:
-    """Difference of the two inputs, each run on its own split clock.
-
-    Returns z_plus(p_plus(theta)) - z_minus(p_minus(theta)) on the grid.  For
-    independent Brownian inputs with variance rates sigma_plus**2 and
-    sigma_minus**2 the result is a two-speed Brownian motion.
-    """
-    _check_coupling_inputs(z_plus, z_minus)
-    k = _phi_indices(z_plus, z_minus)
-    i = np.arange(k.size)
-    values = z_plus.values[k] - z_minus.values[i - k]
-    return GridPath(0.0, z_plus.dt, values)
-
-
-def _sample_brownian(sigma: float, n_steps: int, dt: float, rng: np.random.Generator) -> np.ndarray:
-    increments = rng.standard_normal(n_steps) * (sigma * math.sqrt(dt))
+def _sample_brownian(n_steps: int, dt: float, rng: np.random.Generator) -> np.ndarray:
+    increments = rng.standard_normal(n_steps) * math.sqrt(dt)
     values = np.empty(n_steps + 1)
     values[0] = 0.0
     np.cumsum(increments, out=values[1:])
@@ -315,7 +240,7 @@ def _timechange_values(
     span = n_steps * dt
     fine_dt = dt * lo / 4.0  # keeps clock increments at or below a quarter step
     n_fine = int(math.ceil(span * hi / fine_dt - 1e-9))
-    b = _sample_brownian(1.0, n_fine, fine_dt, rng)
+    b = _sample_brownian(n_fine, fine_dt, rng)
     rate = np.where(b[:-1] > 0.0, 1.0 / params.sigma_plus**2, 1.0 / params.sigma_minus**2)
     theta = np.empty(n_fine + 1)
     theta[0] = 0.0
@@ -341,53 +266,6 @@ def sample_two_speed_timechange(
         raise ValueError("grid step too coarse for the requested horizon")
     values = _timechange_values(params, grid.n_steps, grid.dt, rng)
     return GridPath(0.0, grid.dt, values)
-
-
-def sample_two_speed_psi(
-    params: TwoSpeedParams, grid: GridSpec, rng: np.random.Generator
-) -> GridPath:
-    """Sample a two-speed Brownian motion from two independent sides.
-
-    Draws independent Brownian paths with variance rates ``sigma_plus**2``
-    and ``sigma_minus**2`` on the requested grid and couples them through the
-    split clock.  Draw order: all increments of the positive side, then all
-    increments of the negative side.
-    """
-    n = grid.n_steps
-    z_plus = GridPath(0.0, grid.dt, _sample_brownian(params.sigma_plus, n, grid.dt, rng))
-    z_minus = GridPath(0.0, grid.dt, _sample_brownian(params.sigma_minus, n, grid.dt, rng))
-    return psi_construct(z_plus, z_minus)
-
-
-_SKEWFLIP_REFINE = 16
-
-
-def sample_two_speed_skewflip(
-    params: TwoSpeedParams, grid: GridSpec, rng: np.random.Generator
-) -> GridPath:
-    """Sample a two-speed Brownian motion by sign-flipping excursions.
-
-    A standard Brownian motion is drawn on a fine grid over the rescaled span
-    ``(sigma_plus + sigma_minus)**2 * span``; each maximal sign-constant
-    stretch keeps its magnitude but is assigned a fresh sign, positive with
-    probability ``sigma_minus / (sigma_plus + sigma_minus)``.  Positive parts
-    are then scaled by ``sigma_plus``, negative parts by ``sigma_minus``, and
-    the path is read back on the requested grid through the inverse time
-    rescaling.  Draw order: one standard normal per fine step, then one
-    uniform per sign-constant stretch in time order.
-    """
-    c = params.sigma_plus + params.sigma_minus
-    q = params.sigma_minus / c
-    n_fine = _SKEWFLIP_REFINE * grid.n_steps
-    fine_dt = c * c * grid.dt / _SKEWFLIP_REFINE
-    b = _sample_brownian(1.0, n_fine, fine_dt, rng)
-    sgn = np.where(b > 0.0, 1, -1)
-    flips = np.flatnonzero(sgn[1:] != sgn[:-1]) + 1
-    bounds = np.concatenate([[0], flips, [n_fine + 1]])
-    signs = np.where(rng.random(bounds.size - 1) < q, 1.0, -1.0)
-    x = np.repeat(signs, np.diff(bounds)) * np.abs(b)
-    scaled = np.where(x >= 0.0, params.sigma_plus * x, params.sigma_minus * x)
-    return GridPath(0.0, grid.dt, scaled[::_SKEWFLIP_REFINE] / c)
 
 
 def default_zero_tol(dt: float) -> float:
@@ -433,37 +311,6 @@ def decompose_excursions(
         zip(lefts[keep].tolist(), rights[keep].tolist(), sgn[starts[keep]].tolist())
     )
     return ExcursionList(path=path, entries=entries)
-
-
-def sample_excursion(length: float, sign: int, dt: float, rng: np.random.Generator) -> GridPath:
-    """Sample a Brownian excursion of a given length on a dt grid.
-
-    The magnitude is the radial part of a three-dimensional Brownian bridge
-    tied to zero at both ends, which has the excursion law; ``sign`` picks
-    the side.  The length must be a whole number of grid steps and at least
-    four of them.  Draw order: one standard normal array of shape
-    ``(3, n_steps)``.
-    """
-    length = float(length)
-    dt = float(dt)
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ValueError("grid step must be positive and finite")
-    if sign not in (-1, 1):
-        raise ValueError("excursion sign must be +1 or -1")
-    if not math.isfinite(length) or length < 4.0 * dt:
-        raise ValueError("length must cover at least four grid steps")
-    steps = length / dt
-    n = int(round(steps))
-    if abs(steps - n) > 1e-6:
-        raise ValueError("length must be a whole number of grid steps")
-    increments = rng.standard_normal((3, n)) * math.sqrt(dt)
-    w = np.concatenate([np.zeros((3, 1)), np.cumsum(increments, axis=1)], axis=1)
-    t = dt * np.arange(n + 1)
-    bridge = w - (t / (n * dt)) * w[:, -1:]
-    values = np.sqrt(np.sum(bridge * bridge, axis=0))
-    if sign < 0:
-        values = -values
-    return GridPath(0.0, dt, values)
 
 
 def _excursion_stream(
@@ -578,8 +425,12 @@ def simulate_renewal_limit(
     )
     if grid.dt > scale / 8.0:
         raise ValueError("grid step too coarse to resolve the pinned crossings")
+    try:
+        max_doublings = operator.index(max_doublings)
+    except TypeError:
+        max_doublings = -1
     if max_doublings < 0:
-        raise ValueError("the doubling budget must be nonnegative")
+        raise ValueError("max_doublings must be a non-negative integer")
     two_speed = TwoSpeedParams(sigma_plus=params.sigma_plus, sigma_minus=params.sigma_minus)
     roots = rng.spawn(2)
     interior_seed = roots[0].bit_generator.seed_seq

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -202,7 +201,6 @@ def path_stream(seed: int, path_index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-@lru_cache(maxsize=16)
 def _rate_table(params: DerivedConstants, n: int):
     p = params.params
     # fixed order-flow rates, in the sampling order documented in _next_event

@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 
 import numpy as np
 import pytest
@@ -8,15 +9,17 @@ from loblab import (
     ExcursionList,
     GridPath,
     GridSpec,
+    LimitRenewalSample,
     ModelParams,
+    TwoSpeedParams,
+    build_bracketing_limits,
     decompose_excursions,
     derive_constants,
     excursion_list_to_csv,
     grid_path_to_csv,
     path_stream,
-    phi_coupling,
+    sample_two_speed_timechange,
     simulate_renewal_limit,
-    skorohod_map,
 )
 
 
@@ -41,52 +44,132 @@ class TestRenewalReplay:
             b = simulate_renewal_limit(c, long, path_stream(11, i))
             assert a == b
 
-
-class TestSkorohodMap:
-    @pytest.mark.parametrize("seed, start", [(1, 0.0), (2, 0.3), (3, -0.2)])
-    def test_reflection_invariants(self, seed, start):
-        z = _walk(np.random.default_rng(seed), 2000, 1e-3, start)
-        gamma = skorohod_map(z).values
-        reflected = z.values + gamma
-        assert np.all(gamma >= 0.0)
-        assert np.all(np.diff(gamma) >= 0.0)
-        assert np.all(reflected >= 0.0)
-        # the reflection term moves only while the reflected path sits at zero
-        rises = np.flatnonzero(np.diff(gamma) > 0.0) + 1
-        assert rises.size > 0
-        assert np.all(reflected[rises] == 0.0)
+    @pytest.mark.parametrize("max_doublings", [1.5, "2", None, -1])
+    def test_rejects_bad_doubling_budget(self, max_doublings):
+        c = derive_constants(ModelParams(theta_b=2.0))
+        with pytest.raises(ValueError, match="max_doublings must be a non-negative integer"):
+            simulate_renewal_limit(c, GridSpec(1.0, 1e-3), path_stream(0), max_doublings)
 
 
-class TestPhiCoupling:
-    @pytest.mark.parametrize("seed", [4, 5, 6])
-    def test_split_clock_invariants(self, seed):
-        rng = np.random.default_rng(seed)
-        dt = 1e-3
-        z_plus = _walk(rng, 1500, dt)
-        z_minus = GridPath(0.0, dt, 2.0 * _walk(rng, 1500, dt).values)
-        p_plus, p_minus = phi_coupling(z_plus, z_minus)
-        theta = dt * np.arange(len(z_plus))
-        np.testing.assert_allclose(p_plus.values + p_minus.values, theta,
-                                   rtol=0.0, atol=1e-12)
-        for p in (p_plus, p_minus):
-            assert p.values[0] == 0.0
-            steps = np.diff(p.values) / dt
-            assert np.all(np.isclose(steps, 0.0, atol=1e-9)
-                          | np.isclose(steps, 1.0, atol=1e-9))
+class TestPinnedStreams:
+    # exact values on fixed streams, so neither the interior time change nor
+    # the renewal it feeds can move unnoticed
 
-    def test_matches_the_defining_maximiser(self):
-        # p_plus(theta_i) / dt is the largest k <= i whose reflection term of
-        # z_plus does not exceed that of z_minus at i - k
-        rng = np.random.default_rng(7)
-        dt = 1e-2
-        z_plus = _walk(rng, 300, dt)
-        z_minus = _walk(rng, 300, dt)
-        g_plus = skorohod_map(z_plus).values
-        g_minus = skorohod_map(z_minus).values
-        expected = [max(k for k in range(i + 1) if g_plus[k] <= g_minus[i - k])
-                    for i in range(len(z_plus))]
-        p_plus, _ = phi_coupling(z_plus, z_minus)
-        assert np.array_equal(np.rint(p_plus.values / dt).astype(int), expected)
+    def test_renewal_samples(self):
+        c = derive_constants(ModelParams(theta_b=2.0))
+        grid = GridSpec(1.0, 1e-3)
+        expected = {
+            0: LimitRenewalSample("down", 0.28869871323045626, -0.291706495987681),
+            3: LimitRenewalSample("up", 0.0969913077962714, 0.5763638976731777),
+            4: LimitRenewalSample("down", 0.09387075690300645, -0.1680186363391704),
+        }
+        for i, sample in expected.items():
+            assert simulate_renewal_limit(c, grid, path_stream(5, i)) == sample
+
+    def test_time_change_path(self):
+        x = sample_two_speed_timechange(TwoSpeedParams(1.0, 2.0), GridSpec(1.0, 1e-3),
+                                        path_stream(3, 0))
+        assert x.values[-3:].tolist() == [
+            1.394424544881936, 1.4013033486517834, 1.4010869147786773
+        ]
+
+
+class TestTimeChangeLaw:
+    # oscillating Brownian motion (Keilson & Wellner 1978) with variance
+    # rates s+^2 above zero and s-^2 below sits above zero with probability
+    # s- / (s+ + s-) at every time T > 0, is a martingale started at zero,
+    # and so has E X_T = 0 and E X_T^2 = T (s+^2 p + s-^2 (1 - p))
+    SIGMA_PLUS, SIGMA_MINUS, PATHS = 1.0, 2.0, 4000
+
+    @pytest.fixture(scope="class")
+    def endpoints(self):
+        params = TwoSpeedParams(self.SIGMA_PLUS, self.SIGMA_MINUS)
+        grid = GridSpec(1.0, 1e-2)
+        return np.array([
+            sample_two_speed_timechange(params, grid, path_stream(3, i)).values[-1]
+            for i in range(self.PATHS)
+        ])
+
+    def test_positive_side_probability(self, endpoints):
+        p = self.SIGMA_MINUS / (self.SIGMA_PLUS + self.SIGMA_MINUS)
+        se = math.sqrt(p * (1.0 - p) / self.PATHS)
+        assert abs(np.mean(endpoints > 0.0) - p) <= 4.0 * se
+
+    def test_zero_mean(self, endpoints):
+        se = endpoints.std(ddof=1) / math.sqrt(self.PATHS)
+        assert abs(endpoints.mean()) <= 4.0 * se
+
+    def test_second_moment(self, endpoints):
+        p = self.SIGMA_MINUS / (self.SIGMA_PLUS + self.SIGMA_MINUS)
+        expected = self.SIGMA_PLUS**2 * p + self.SIGMA_MINUS**2 * (1.0 - p)
+        squares = endpoints**2
+        se = squares.std(ddof=1) / math.sqrt(self.PATHS)
+        assert abs(squares.mean() - expected) <= 4.0 * se
+
+    def test_rejects_coarse_grid(self):
+        # dt * max(s+, s-)^2 = 0.04 exceeds a quarter of the 0.1 horizon
+        with pytest.raises(ValueError, match="grid step too coarse for the requested horizon"):
+            sample_two_speed_timechange(TwoSpeedParams(1.0, 2.0), GridSpec(0.1, 0.01),
+                                        path_stream(0))
+
+
+class TestDecomposeExcursions:
+    def test_zero_band_separates_stretches(self):
+        # 0.01 lies inside the 0.05 band and splits the positive run in two
+        path = GridPath(0.0, 0.1, [0.0, 1.0, 2.0, 0.01, 2.0, 1.0, 0.0])
+        assert decompose_excursions(path, 0.2, zero_tol=0.05).entries == ((0, 3, 1), (3, 6, 1))
+        assert decompose_excursions(path, 0.2, zero_tol=0.0).entries == ((0, 6, 1),)
+
+    def test_endpoints_clip_at_window_edges(self):
+        path = GridPath(0.0, 0.1, [-1.0, -2.0, 0.0, 1.0, 2.0])
+        assert decompose_excursions(path, 0.2, zero_tol=0.0).entries == ((0, 2, -1), (2, 4, 1))
+
+    def test_hard_sign_flip_splits(self):
+        path = GridPath(0.0, 0.1, [1.0, 2.0, 3.0, -1.0, -2.0, -3.0])
+        assert decompose_excursions(path, 0.2, zero_tol=0.0).entries == ((0, 3, 1), (2, 5, -1))
+
+    def test_min_length_drops_short_stretches(self):
+        path = GridPath(0.0, 0.1, [0.0, 1.0, 0.0, -1.0, -2.0, 0.0])
+        assert decompose_excursions(path, 0.2, zero_tol=0.0).entries == ((0, 2, 1), (2, 5, -1))
+        assert decompose_excursions(path, 0.3, zero_tol=0.0).entries == ((2, 5, -1),)
+
+    @pytest.mark.parametrize(
+        "min_length, zero_tol",
+        [(0.19, None), (math.nan, None), (0.2, -1e-3), (0.2, math.inf), (0.2, math.nan)],
+    )
+    def test_rejects_bad_arguments(self, min_length, zero_tol):
+        path = GridPath(0.0, 0.1, _VALUES)
+        with pytest.raises(ValueError):
+            decompose_excursions(path, min_length, zero_tol)
+
+
+class TestBracketingLimits:
+    def _interior(self):
+        params = TwoSpeedParams(1.0, 2.0)
+        return sample_two_speed_timechange(params, GridSpec(1.0, 1e-3), path_stream(7, 0))
+
+    def test_pinned_outside_their_excursions(self):
+        c = derive_constants(ModelParams(theta_b=2.0))
+        gstar = self._interior()
+        upper, lower = build_bracketing_limits(gstar, c, path_stream(7, 1))
+        entries = decompose_excursions(gstar, 2.0 * gstar.dt).entries
+        in_negative = np.zeros(len(gstar), dtype=bool)
+        in_positive = np.zeros(len(gstar), dtype=bool)
+        for left, right, sign in entries:
+            (in_negative if sign < 0 else in_positive)[left + 1 : right] = True
+        assert in_negative.any() and in_positive.any()
+        assert np.all(upper.values[~in_negative] == c.kappa_L)
+        assert np.all(lower.values[~in_positive] == c.kappa_R)
+        assert np.any(upper.values[in_negative] != c.kappa_L)
+        assert np.any(lower.values[in_positive] != c.kappa_R)
+
+    def test_equal_seeds_give_equal_paths(self):
+        c = derive_constants(ModelParams(theta_b=2.0))
+        gstar = self._interior()
+        upper_a, lower_a = build_bracketing_limits(gstar, c, path_stream(7, 1))
+        upper_b, lower_b = build_bracketing_limits(gstar, c, path_stream(7, 1))
+        assert np.array_equal(upper_a.values, upper_b.values)
+        assert np.array_equal(lower_a.values, lower_b.values)
 
 
 # zero at indices 0, 3, 6 and 8: one positive, one negative and one short
