@@ -6,8 +6,9 @@ The package splits into four modules:
 - ``model_params``: parameter validation, derived rate constants, region
   classification of the interior queue pair, and the piecewise-linear
   (G, H) change of variables.
-- ``lob_simulator``: exact event-driven simulation of the scaled book,
-  renewal detection, and occupation/martingale statistics.
+- ``lob_simulator``: exact event-driven simulation of the scaled book on a
+  compiled event kernel, renewal detection, and occupation/martingale
+  statistics.
 - ``limit_processes``: two-speed Brownian motion by an occupation-clock
   time change, excursion decomposition, and the bracketing limit processes
   with their renewal times.

@@ -1,0 +1,202 @@
+/* Event kernel of the six-slot book (see lob_simulator).
+ *
+ * classify() is the only sampler: given the six signed slot counts and one
+ * standard exponential and one standard uniform draw, it returns the holding
+ * time, the slot that changes, its step, the interior region in force and
+ * the flow.  The two loops draw through numpy's own bit generator, the
+ * exponential first and then the uniform, so they consume a Generator's
+ * stream exactly as Generator.standard_exponential() followed by
+ * Generator.random() would.  Errors are returned as a status; the Python
+ * wrapper raises them.
+ *
+ * Bit identity with the Python reference rests on IEEE double arithmetic in
+ * source order: build with -O2 -ffp-contract=off and never -ffast-math.
+ */
+
+#include "numpy/random/distributions.h"
+
+#define KERNEL_OK 0
+#define KERNEL_UNREACHABLE 1 /* interior pair in the quadrant w < 0 < x */
+#define KERNEL_FAULT 2       /* the flow found the wrong sign at its slot */
+#define KERNEL_HORIZON 3     /* no renewal before the time limit */
+#define KERNEL_OUTSIDE 4     /* the slot lies outside the window */
+
+typedef struct {
+    double fixed[6];
+    double fixed_total, tb, ts;
+} rates_t;
+
+typedef struct {
+    double dt;
+    int slot, delta, region, category;
+} event_t;
+
+/* signed count each flow may find at its target slot: market buys execute
+ * against resting sells and market sells against resting buys, limit buys
+ * must not land on sells nor limit sells on buys; cancellations are free */
+static const int64_t ALLOWED_LO[8] = {
+    INT64_MIN, 1, 0, 0, INT64_MIN, INT64_MIN, INT64_MIN, INT64_MIN};
+static const int64_t ALLOWED_HI[8] = {
+    -1, INT64_MAX, INT64_MAX, INT64_MAX, 0, 0, INT64_MAX, INT64_MAX};
+
+static void set_event(event_t *ev, double dt, int slot, int delta, int region,
+                      int category)
+{
+    ev->dt = dt;
+    ev->slot = slot;
+    ev->delta = delta;
+    ev->region = region;
+    ev->category = category;
+}
+
+int classify(const int64_t *q, double e, double u, const rates_t *r, event_t *ev)
+{
+    const int64_t q0 = q[0], q1 = q[1], w = q[2], x = q[3], q4 = q[4], q5 = q[5];
+    int region, bid, ask;
+    int64_t buy_pool, sell_pool;
+
+    /* region, bid and ask slots, and the stale pools: buys at slots
+     * <= bid - 2, sells at slots >= ask + 2 */
+    if (x > 0) {
+        if (w < 0)
+            return KERNEL_UNREACHABLE;
+        region = 0, bid = 3, ask = 4; /* NE */
+        buy_pool = (q0 > 0 ? q0 : 0) + (q1 > 0 ? q1 : 0);
+        sell_pool = 0;
+    } else if (w < 0) {
+        region = 6, bid = 1, ask = 2; /* SW */
+        buy_pool = 0;
+        sell_pool = (q4 < 0 ? -q4 : 0) + (q5 < 0 ? -q5 : 0);
+    } else if (x == 0) {
+        if (w > 0) {
+            region = 1, bid = 2, ask = 4; /* E */
+            buy_pool = q0 > 0 ? q0 : 0;
+        } else {
+            region = 7, bid = 1, ask = 4; /* O */
+            buy_pool = 0;
+        }
+        sell_pool = 0;
+    } else {
+        if (w == 0) {
+            region = 5, bid = 1; /* S */
+            buy_pool = 0;
+        } else {
+            int64_t s = w + x;
+            region = s > 0 ? 2 : s == 0 ? 3 : 4; /* SE+, SE, SE- */
+            bid = 2;
+            buy_pool = q0 > 0 ? q0 : 0;
+        }
+        ask = 3;
+        sell_pool = q5 < 0 ? -q5 : 0;
+    }
+
+    const double tb_pool = r->tb * (double)buy_pool;
+    const double total = r->fixed_total + tb_pool + r->ts * (double)sell_pool;
+    const double dt = e / total;
+    u = u * total;
+
+    if (u < r->fixed_total) {
+        const int targets[6] = {ask, bid, ask - 1, ask - 2, bid + 1, bid + 2};
+        const int deltas[6] = {1, -1, 1, 1, -1, -1};
+        int c = 0;
+        while (c < 5 && !(u < r->fixed[c]))
+            u -= r->fixed[c++];
+        set_event(ev, dt, targets[c], deltas[c], region, c);
+        return KERNEL_OK;
+    }
+
+    /* cancellations: u / rate counts orders into the pool, which is walked
+     * leftmost slot first */
+    u -= r->fixed_total;
+    if (u < tb_pool) {
+        /* the pool is positive here, so slot 0 or slot 1 is stale */
+        int slot = bid == 3 && q1 > 0 && (q0 <= 0 || u / r->tb >= (double)q0);
+        set_event(ev, dt, slot, -1, region, 6);
+    } else if (ask == 2 && q4 < 0 && (q5 >= 0 || (u - tb_pool) / r->ts < (double)-q4)) {
+        set_event(ev, dt, 4, 1, region, 7);
+    } else if (ask <= 3 && q5 < 0) {
+        set_event(ev, dt, 5, 1, region, 7);
+    } else {
+        /* no stale sell: only rounding could carry u past the buy pool; the
+         * slot is the first one beyond the sell pool */
+        set_event(ev, dt, ask + 2, 1, region, 7);
+    }
+    return KERNEL_OK;
+}
+
+int apply_event(int64_t *q, int slot, int delta, int category)
+{
+    if (slot < 0 || slot > 5)
+        return KERNEL_OUTSIDE;
+    const int64_t before = q[slot];
+    if (before < ALLOWED_LO[category] || before > ALLOWED_HI[category])
+        return KERNEL_FAULT;
+    q[slot] = before + delta;
+    return KERNEL_OK;
+}
+
+static int draw_and_classify(bitgen_t *bg, const int64_t *q, const rates_t *r,
+                             event_t *ev)
+{
+    const double e = random_standard_exponential(bg);
+    const double u = random_standard_uniform(bg);
+    return classify(q, e, u, r, ev);
+}
+
+int run_to_renewal(bitgen_t *bg, int64_t *q, const rates_t *r, double limit,
+                   double *clock, double *occ, int64_t *events, event_t *ev)
+{
+    double c = *clock;
+    int64_t k = *events;
+    int status;
+    for (;;) {
+        if ((status = draw_and_classify(bg, q, r, ev)))
+            break;
+        if (c + ev->dt > limit) {
+            status = KERNEL_HORIZON;
+            break;
+        }
+        if ((status = apply_event(q, ev->slot, ev->delta, ev->category)))
+            break;
+        occ[ev->region] += ev->dt;
+        c += ev->dt;
+        k++;
+        if (q[1] == 0 || q[4] == 0)
+            break;
+    }
+    *clock = c;
+    *events = k;
+    return status;
+}
+
+int run_scaled_path(bitgen_t *bg, int64_t *q, const rates_t *r,
+                    const double *grid, int64_t m, int64_t *counts,
+                    double *occupations, event_t *ev)
+{
+    double occ[8] = {0.0};
+    double clock = 0.0;
+    int64_t gi = 0;
+    int status;
+    while (gi < m) {
+        if ((status = draw_and_classify(bg, q, r, ev)))
+            return status;
+        const double t_next = clock + ev->dt;
+        /* each grid instant before the event sees the state after the
+         * last event and the occupation accrued exactly up to it */
+        for (; gi < m && grid[gi] < t_next; gi++) {
+            for (int i = 0; i < 6; i++)
+                counts[6 * gi + i] = q[i];
+            for (int i = 0; i < 8; i++)
+                occupations[8 * gi + i] = occ[i];
+            occupations[8 * gi + ev->region] += grid[gi] - clock;
+        }
+        if (gi == m)
+            break;
+        if (ev->slot < 0 || ev->slot > 5)
+            return KERNEL_OUTSIDE;
+        q[ev->slot] += ev->delta;
+        occ[ev->region] += ev->dt;
+        clock = t_next;
+    }
+    return KERNEL_OK;
+}

@@ -11,6 +11,15 @@ one tick and the queue that leaves it is dropped.  One event sampler
 serves both the stopped book, run until a bracketing queue empties, and
 the free-running variant whose clocks follow the interior region
 regardless of the bracketing queues' values.
+
+The sampler and both event loops are a compiled kernel,
+``_book_kernel.c``, built with cffi on the first import (see
+``_book_kernel``).  The loops draw through the bit generator of the
+caller's numpy Generator while holding its lock: per event one standard
+exponential, then one standard uniform, exactly the values that
+``Generator.standard_exponential()`` and ``Generator.random()`` would
+return.  There is no pure-Python fallback; without a C compiler the import
+fails with ``KernelBuildError``.
 """
 
 from __future__ import annotations
@@ -18,16 +27,20 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 
+from ._book_kernel import load as _load_kernel
 from .model_params import (
     DerivedConstants,
     Region,
     gh_transform,
     region_of,
 )
+
+# compiled on the first import, then loaded from the cache (see _book_kernel)
+_ffi, _lib = _load_kernel()
 
 REGION_ORDER: tuple[Region, ...] = tuple(Region)
 
@@ -219,102 +232,28 @@ def _rate_table(params: DerivedConstants, n: int):
 def _next_event(q, rates, exponential, uniform):
     """Sample the next transition of the six-slot book q by Gillespie's method.
 
-    Returns (dt, slot, delta, region, category): the holding time, the window
-    slot that changes by delta, the index in REGION_ORDER of the
-    interior region in force, and the flow.  Categories 0..5 are the fixed
-    flows (market buy, market sell, limit buys one/two ticks below the ask,
-    limit sells one/two ticks above the bid); 6 and 7 are buy- and sell-side
-    cancellations.  Stale buys sit at slots <= bid - 2 and stale sells at
-    slots >= ask + 2, so each pool spans at most two slots.  The stream is
-    consumed in a fixed order (one exponential, then one uniform), so runs
-    are reproducible.
+    Draws one exponential, then one uniform, and hands both to classify in
+    the compiled kernel ``_book_kernel.c``, the only sampler; there is no
+    pure-Python fallback.  Returns (dt, slot, delta, region, category):
+    the holding time, the window slot that changes by delta, the index in
+    REGION_ORDER of the interior region in force, and the flow.  Categories
+    0..5 are the fixed flows (market buy, market sell, limit buys one/two
+    ticks below the ask, limit sells one/two ticks above the bid); 6 and 7
+    are buy- and sell-side cancellations.  Stale buys sit at slots <= bid - 2
+    and stale sells at slots >= ask + 2, so each pool spans at most two
+    slots.  The compiled loops consume a Generator in the same order, so
+    every entry point yields the same stream.
     """
-    fixed, fixed_total, tb, ts = rates
-    q0, q1, w, x, q4, q5 = q
-    # region, bid and ask slots, and the stale pools: buys at slots
-    # <= bid - 2, sells at slots >= ask + 2
-    if x > 0:
-        if w < 0:
-            region_of(w, x)  # raises: the quadrant is unreachable
-        region, bid, ask = 0, 3, 4  # NE
-        buy_pool = (q0 if q0 > 0 else 0) + (q1 if q1 > 0 else 0)
-        sell_pool = 0
-    elif w < 0:
-        region, bid, ask = 6, 1, 2  # SW
-        buy_pool = 0
-        sell_pool = (-q4 if q4 < 0 else 0) + (-q5 if q5 < 0 else 0)
-    elif x == 0:
-        if w > 0:
-            region, bid, ask = 1, 2, 4  # E
-            buy_pool = q0 if q0 > 0 else 0
-        else:
-            region, bid, ask = 7, 1, 4  # O
-            buy_pool = 0
-        sell_pool = 0
-    else:
-        if w == 0:
-            region, bid = 5, 1  # S
-            buy_pool = 0
-        else:
-            s = w + x
-            region = 2 if s > 0 else 3 if s == 0 else 4  # SE+, SE, SE-
-            bid = 2
-            buy_pool = q0 if q0 > 0 else 0
-        ask = 3
-        sell_pool = -q5 if q5 < 0 else 0
-
-    total = fixed_total + tb * buy_pool + ts * sell_pool
-    dt = exponential() / total
-    u = uniform() * total
-
-    if u < fixed_total:
-        if u < fixed[0]:
-            return dt, ask, 1, region, 0
-        u -= fixed[0]
-        if u < fixed[1]:
-            return dt, bid, -1, region, 1
-        u -= fixed[1]
-        if u < fixed[2]:
-            return dt, ask - 1, 1, region, 2
-        u -= fixed[2]
-        if u < fixed[3]:
-            return dt, ask - 2, 1, region, 3
-        u -= fixed[3]
-        if u < fixed[4]:
-            return dt, bid + 1, -1, region, 4
-        return dt, bid + 2, -1, region, 5
-
-    # cancellations: u / rate counts orders into the pool, which is walked
-    # leftmost slot first
-    u -= fixed_total
-    if u < tb * buy_pool:
-        # the pool is positive here, so slot 0 or slot 1 is stale
-        if bid == 3 and q1 > 0 and (q0 <= 0 or u / tb >= q0):
-            return dt, 1, -1, region, 6
-        return dt, 0, -1, region, 6
-    if ask == 2 and q4 < 0 and (q5 >= 0 or (u - tb * buy_pool) / ts < -q4):
-        return dt, 4, 1, region, 7
-    if ask <= 3 and q5 < 0:
-        return dt, 5, 1, region, 7
-    # no stale sell: only rounding could carry u past the buy pool; the
-    # slot is the first one beyond the sell pool, as in the dict book
-    return dt, ask + 2, 1, region, 7
+    e, u = exponential(), uniform()
+    ev = _ffi.new("event_t *")
+    status = _lib.classify(
+        _ffi.new("int64_t[6]", q), e, u, _ffi.new("rates_t *", rates), ev
+    )
+    if status:
+        _raise_status(status, q, 0, ev.slot, ev.category)
+    return ev.dt, ev.slot, ev.delta, ev.region, ev.category
 
 
-# signed count each flow may find at its target slot: market buys execute
-# against resting sells and market sells against resting buys, limit buys
-# must not land on sells nor limit sells on buys; cancellations are free
-_INF = math.inf
-_ALLOWED = (
-    (-_INF, -1),
-    (1, _INF),
-    (0, _INF),
-    (0, _INF),
-    (-_INF, 0),
-    (-_INF, 0),
-    (-_INF, _INF),
-    (-_INF, _INF),
-)
 _FAULTS = (
     "market buy at tick {} found no sell orders",
     "market sell at tick {} found no buy orders",
@@ -325,8 +264,37 @@ _FAULTS = (
 )
 
 
-def _fault(message: str):
+def _fault(message: str) -> NoReturn:
     raise RuntimeError(f"model violation: {message}")
+
+
+def _raise_status(status: int, q, origin: int, slot: int, category: int) -> NoReturn:
+    """Raise the error a kernel status stands for, given the refused event."""
+    if status == _lib.KERNEL_UNREACHABLE:
+        region_of(q[2], q[3])  # raises: the quadrant is unreachable
+    if status == _lib.KERNEL_FAULT:
+        _fault(_FAULTS[category].format(origin + slot))
+    _fault(f"event at tick {origin + slot} lies outside the six-slot window")
+
+
+def _bitgen(bit_generator):
+    """The bitgen_t of a numpy BitGenerator; draw only under its lock."""
+    return _ffi.cast("bitgen_t *", bit_generator.ctypes.bit_generator.value)
+
+
+def _apply_event(state: LOBState, slot: int, delta: int, category: int) -> None:
+    """Move state's slot by delta through the kernel's checked apply step.
+
+    The step refuses a flow that finds the wrong sign at its target slot
+    (a market order with nothing to execute against, a limit order joining
+    the opposite side) and leaves the book unchanged; the compiled renewal
+    loop applies every event through the same step.
+    """
+    q = _ffi.new("int64_t[6]", state.queues)
+    status = _lib.apply_event(q, slot, delta, category)
+    if status:
+        _raise_status(status, state.queues, state.window_origin, slot, category)
+    state.queues[:] = q
 
 
 def step_event(
@@ -347,11 +315,7 @@ def step_event(
     dt, slot, delta, region, category = _next_event(
         q, _rate_table(params, n), rng.standard_exponential, rng.random
     )
-    before = q[slot]
-    lo, hi = _ALLOWED[category]
-    if not lo <= before <= hi:
-        _fault(_FAULTS[category].format(state.window_origin + slot))
-    q[slot] = before + delta
+    _apply_event(state, slot, delta, category)
     state.occupation[REGION_ORDER[region]] += dt
     state.clock += dt
     state.event_count += 1
@@ -389,59 +353,51 @@ def initial_state(config: SimConfig) -> LOBState:
 def _run_to_renewal(state, params, n, limit, rng):
     """Step a book until v or y empties; relabel the window; return a record.
 
-    The record keeps the pre-shift roles.  The state is mutated past the
-    renewal: after a down move the window origin moves one tick left (the
-    old u, v, w, x, y queues take the v, w, x, y, z roles, the new u slot is
-    empty and the old z queue leaves the window and is dropped), after an
-    up move one tick right (the old u queue is dropped and the new z slot is
-    empty).  The dropped queue no longer counts towards any pool, so the
-    state is for inspection: no caller steps a book past its renewal.
+    The compiled loop holds the generator's lock while it draws.  The record
+    keeps the pre-shift roles.  The state is mutated past the renewal: after
+    a down move the window origin moves one tick left (the old u, v, w, x, y
+    queues take the v, w, x, y, z roles, the new u slot is empty and the old
+    z queue leaves the window and is dropped), after an up move one tick
+    right (the old u queue is dropped and the new z slot is empty).  The
+    dropped queue no longer counts towards any pool, so the state is for
+    inspection: no caller steps a book past its renewal.  On an error the
+    state holds the book, clock and occupation before the refused event.
     """
-    rates = _rate_table(params, n)
-    exponential, uniform = rng.standard_exponential, rng.random
-    allowed = _ALLOWED
+    q = _ffi.new("int64_t[6]", state.queues)
+    occ = _ffi.new("double[8]", [state.occupation[r] for r in REGION_ORDER])
+    clock = _ffi.new("double *", state.clock)
+    events = _ffi.new("int64_t *", state.event_count)
+    ev = _ffi.new("event_t *")
+    rates = _ffi.new("rates_t *", _rate_table(params, n))
+    bit_generator = rng.bit_generator
+    with bit_generator.lock:
+        status = _lib.run_to_renewal(
+            _bitgen(bit_generator), q, rates, limit, clock, occ, events, ev
+        )
+    state.queues[:] = q
+    state.occupation.update(zip(REGION_ORDER, occ))
+    state.clock = clock[0]
+    state.event_count = events[0]
+    if status == _lib.KERNEL_HORIZON:
+        raise HorizonExceededError(
+            f"no renewal by scaled time {limit / n}; last clock {state.clock / n}"
+        )
+    if status:
+        _raise_status(status, state.queues, state.window_origin, ev.slot, ev.category)
     q = state.queues
-    origin = state.window_origin
-    occ = [state.occupation[r] for r in REGION_ORDER]
-    clock = state.clock
-    events = state.event_count
-    try:
-        while True:
-            dt, slot, delta, region, category = _next_event(
-                q, rates, exponential, uniform
-            )
-            if clock + dt > limit:
-                raise HorizonExceededError(
-                    f"no renewal by scaled time {limit / n}; last clock"
-                    f" {clock / n}"
-                )
-            before = q[slot]
-            lo, hi = allowed[category]
-            if not lo <= before <= hi:
-                _fault(_FAULTS[category].format(origin + slot))
-            q[slot] = before + delta
-            occ[region] += dt
-            clock += dt
-            events += 1
-            if q[1] == 0 or q[4] == 0:
-                break
-    finally:
-        state.occupation.update(zip(REGION_ORDER, occ))
-        state.clock = clock
-        state.event_count = events
     down = q[1] == 0
     sqrt_n = math.sqrt(n)
     record = RenewalRecord(
         direction="down" if down else "up",
-        s_hat=clock / n,
+        s_hat=state.clock / n,
         state_at_renewal=tuple(c / sqrt_n for c in q),
     )
     if down:
         state.queues = [0, *q[:5]]
-        state.window_origin = origin - 1
+        state.window_origin -= 1
     else:
         state.queues = [*q[1:], 0]
-        state.window_origin = origin + 1
+        state.window_origin += 1
     return record
 
 
@@ -473,42 +429,39 @@ def run_scaled_path(
     accumulated exactly up to the grid instant.
     """
     n = config.n
-    q = initial_state(config).queues
+    q = _ffi.new("int64_t[6]", initial_state(config).queues)
     rng = path_stream(config.seed, path_index)
-    exponential, uniform = rng.standard_exponential, rng.random
-    rates = _rate_table(params, n)
-    mparams = params.params
-    sqrt_n = math.sqrt(n)
+    rates = _ffi.new("rates_t *", _rate_table(params, n))
 
     steps = int(math.floor(config.horizon / config.grid_step + 1e-9))
     times = np.arange(steps + 1, dtype=float) * config.grid_step
     if config.horizon - times[-1] > 1e-9 * max(1.0, config.horizon):
         times = np.append(times, config.horizon)
-    grid = (times * n).tolist()
+    grid = times * n
 
     m = len(times)
-    series = np.empty((m, 8))
+    counts = np.empty((m, 6), dtype=np.int64)
     occupations = np.empty((m, len(REGION_ORDER)))
-    occ = [0.0] * len(REGION_ORDER)
-    clock = 0.0
-    gi = 0
-    while gi < m:
-        dt, slot, delta, region, category = _next_event(q, rates, exponential, uniform)
-        t_next = clock + dt
-        while gi < m and grid[gi] < t_next:
-            scaled = [c / sqrt_n for c in q]
-            g, h = gh_transform(scaled[2], scaled[3], mparams)
-            series[gi] = scaled + [g, h]
-            row = occ.copy()
-            row[region] += grid[gi] - clock
-            occupations[gi] = row
-            gi += 1
-        if gi == m:
-            break
-        q[slot] += delta
-        occ[region] += dt
-        clock = t_next
+    ev = _ffi.new("event_t *")
+    bit_generator = rng.bit_generator
+    with bit_generator.lock:
+        status = _lib.run_scaled_path(
+            _bitgen(bit_generator),
+            q,
+            rates,
+            _ffi.from_buffer("double[]", grid),
+            m,
+            _ffi.from_buffer("int64_t[]", counts),
+            _ffi.from_buffer("double[]", occupations),
+            ev,
+        )
+    if status:
+        _raise_status(status, q, 0, ev.slot, ev.category)
     occupations /= n
+    scaled = counts / math.sqrt(n)
+    mparams = params.params
+    gh = [gh_transform(w, x, mparams) for w, x in scaled[:, 2:4].tolist()]
+    series = np.hstack([scaled, np.array(gh)])
     return ScaledPathBundle(times=times, series=series, occupations=occupations, n=n)
 
 

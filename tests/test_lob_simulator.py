@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -167,6 +168,177 @@ def dict_next_event(queues, origin, rt, rng):
                 break
             remaining += count
     return dt, chosen, 1, region, 7
+
+
+# Reference for the compiled kernel: the Python event sampler and the two
+# Python loops it replaced, with the same arithmetic in the same order; the
+# scaled-path loop takes its generator as an argument.  The flow ranges are
+# the ones the Python loop checked.
+REF_ALLOWED = (
+    (-math.inf, -1),
+    (1, math.inf),
+    (0, math.inf),
+    (0, math.inf),
+    (-math.inf, 0),
+    (-math.inf, 0),
+    (-math.inf, math.inf),
+    (-math.inf, math.inf),
+)
+
+
+def ref_next_event(q, rates, exponential, uniform):
+    fixed, fixed_total, tb, ts = rates
+    q0, q1, w, x, q4, q5 = q
+    if x > 0:
+        if w < 0:
+            region_of(w, x)  # raises: the quadrant is unreachable
+        region, bid, ask = 0, 3, 4  # NE
+        buy_pool = (q0 if q0 > 0 else 0) + (q1 if q1 > 0 else 0)
+        sell_pool = 0
+    elif w < 0:
+        region, bid, ask = 6, 1, 2  # SW
+        buy_pool = 0
+        sell_pool = (-q4 if q4 < 0 else 0) + (-q5 if q5 < 0 else 0)
+    elif x == 0:
+        if w > 0:
+            region, bid, ask = 1, 2, 4  # E
+            buy_pool = q0 if q0 > 0 else 0
+        else:
+            region, bid, ask = 7, 1, 4  # O
+            buy_pool = 0
+        sell_pool = 0
+    else:
+        if w == 0:
+            region, bid = 5, 1  # S
+            buy_pool = 0
+        else:
+            s = w + x
+            region = 2 if s > 0 else 3 if s == 0 else 4  # SE+, SE, SE-
+            bid = 2
+            buy_pool = q0 if q0 > 0 else 0
+        ask = 3
+        sell_pool = -q5 if q5 < 0 else 0
+
+    total = fixed_total + tb * buy_pool + ts * sell_pool
+    dt = exponential() / total
+    u = uniform() * total
+
+    if u < fixed_total:
+        if u < fixed[0]:
+            return dt, ask, 1, region, 0
+        u -= fixed[0]
+        if u < fixed[1]:
+            return dt, bid, -1, region, 1
+        u -= fixed[1]
+        if u < fixed[2]:
+            return dt, ask - 1, 1, region, 2
+        u -= fixed[2]
+        if u < fixed[3]:
+            return dt, ask - 2, 1, region, 3
+        u -= fixed[3]
+        if u < fixed[4]:
+            return dt, bid + 1, -1, region, 4
+        return dt, bid + 2, -1, region, 5
+
+    u -= fixed_total
+    if u < tb * buy_pool:
+        if bid == 3 and q1 > 0 and (q0 <= 0 or u / tb >= q0):
+            return dt, 1, -1, region, 6
+        return dt, 0, -1, region, 6
+    if ask == 2 and q4 < 0 and (q5 >= 0 or (u - tb * buy_pool) / ts < -q4):
+        return dt, 4, 1, region, 7
+    if ask <= 3 and q5 < 0:
+        return dt, 5, 1, region, 7
+    return dt, ask + 2, 1, region, 7
+
+
+def ref_run_to_renewal(state, params, n, limit, rng):
+    rates = sim._rate_table(params, n)
+    exponential, uniform = rng.standard_exponential, rng.random
+    allowed = REF_ALLOWED
+    q = state.queues
+    origin = state.window_origin
+    occ = [state.occupation[r] for r in REGION_ORDER]
+    clock = state.clock
+    events = state.event_count
+    try:
+        while True:
+            dt, slot, delta, region, category = ref_next_event(
+                q, rates, exponential, uniform
+            )
+            if clock + dt > limit:
+                raise HorizonExceededError(
+                    f"no renewal by scaled time {limit / n}; last clock"
+                    f" {clock / n}"
+                )
+            before = q[slot]
+            lo, hi = allowed[category]
+            if not lo <= before <= hi:
+                sim._fault(sim._FAULTS[category].format(origin + slot))
+            q[slot] = before + delta
+            occ[region] += dt
+            clock += dt
+            events += 1
+            if q[1] == 0 or q[4] == 0:
+                break
+    finally:
+        state.occupation.update(zip(REGION_ORDER, occ))
+        state.clock = clock
+        state.event_count = events
+    down = q[1] == 0
+    sqrt_n = math.sqrt(n)
+    record = sim.RenewalRecord(
+        direction="down" if down else "up",
+        s_hat=clock / n,
+        state_at_renewal=tuple(c / sqrt_n for c in q),
+    )
+    if down:
+        state.queues = [0, *q[:5]]
+        state.window_origin = origin - 1
+    else:
+        state.queues = [*q[1:], 0]
+        state.window_origin = origin + 1
+    return record
+
+
+def ref_run_scaled_path(config, params, rng):
+    n = config.n
+    q = initial_state(config).queues
+    exponential, uniform = rng.standard_exponential, rng.random
+    rates = sim._rate_table(params, n)
+    mparams = params.params
+    sqrt_n = math.sqrt(n)
+
+    steps = int(math.floor(config.horizon / config.grid_step + 1e-9))
+    times = np.arange(steps + 1, dtype=float) * config.grid_step
+    if config.horizon - times[-1] > 1e-9 * max(1.0, config.horizon):
+        times = np.append(times, config.horizon)
+    grid = (times * n).tolist()
+
+    m = len(times)
+    series = np.empty((m, 8))
+    occupations = np.empty((m, len(REGION_ORDER)))
+    occ = [0.0] * len(REGION_ORDER)
+    clock = 0.0
+    gi = 0
+    while gi < m:
+        dt, slot, delta, region, category = ref_next_event(q, rates, exponential, uniform)
+        t_next = clock + dt
+        while gi < m and grid[gi] < t_next:
+            scaled = [c / sqrt_n for c in q]
+            g, h = gh_transform(scaled[2], scaled[3], mparams)
+            series[gi] = scaled + [g, h]
+            row = occ.copy()
+            row[region] += grid[gi] - clock
+            occupations[gi] = row
+            gi += 1
+        if gi == m:
+            break
+        q[slot] += delta
+        occ[region] += dt
+        clock = t_next
+    occupations /= n
+    return sim.ScaledPathBundle(times=times, series=series, occupations=occupations, n=n)
 
 
 # interior pairs (w, x) drawn per region
@@ -428,14 +600,16 @@ class TestStepEvent:
         ],
     )
     def test_coexistence_faults(self, monkeypatch, category, delta, count, fragment):
-        # a sampler that targets slot 2 with the given flow, whatever the
-        # book: both stepping routes must refuse the event and leave slot 2
+        # a flow that targets slot 2, whatever the book: step_event (through
+        # a scripted sampler) and the kernel's checked apply step, which the
+        # compiled renewal loop applies every event through, must refuse
+        # the event and leave slot 2
         monkeypatch.setattr(
             sim, "_next_event", lambda *args: (0.1, 2, delta, 7, category)
         )
         runs = (
             lambda state: step_event(state, CONSTANTS, 100, path_stream(0)),
-            lambda state: sim._run_to_renewal(state, CONSTANTS, 100, 1e9, path_stream(0)),
+            lambda state: sim._apply_event(state, 2, delta, category),
         )
         for run in runs:
             state = LOBState(queues=[1, 1, count, 0, -1, 0], window_origin=7)
@@ -804,3 +978,153 @@ class TestPinnedStreams:
             0.04255458877364861,
             0.002025725391960632,
         ]
+
+
+# ---------------------------------------------------------------------------
+# the compiled kernel against the Python reference loops above
+
+KERNEL_NS = (1, 100, 400, 10**4)
+KERNEL_THETAS = (1.0, 2.0)
+
+
+def _starts(c, n):
+    """Default and pinned starts that resolve to a book at scale n."""
+    starts = []
+    for start in ((0.75, 0.75, 0.0, 0.0, -0.75, -0.75),
+                  (0.75, c.kappa_L, 0.0, 0.0, c.kappa_R, -0.75)):
+        try:
+            initial_state(SimConfig(n=n, initial_scaled_state=start))
+        except ValueError:  # a bracketing queue rounds to empty
+            continue
+        starts.append(start)
+    return starts
+
+
+def _renew(run, state, c, n, limit, rng):
+    """A renewal run's record, or the type and text of the error it raised."""
+    try:
+        return run(state, c, n, limit, rng)
+    except (HorizonExceededError, RuntimeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_renewal(state, c, n, limit, seed, path_index):
+    kernel_state, ref_state = LOBState(list(state.queues)), LOBState(list(state.queues))
+    kernel_rng, ref_rng = path_stream(seed, path_index), path_stream(seed, path_index)
+    got = _renew(sim._run_to_renewal, kernel_state, c, n, limit, kernel_rng)
+    want = _renew(ref_run_to_renewal, ref_state, c, n, limit, ref_rng)
+    assert got == want
+    # queues and window shift, clock, occupation and event count
+    assert kernel_state == ref_state
+    # the kernel consumed exactly the reference's draws
+    assert kernel_rng.random() == ref_rng.random()
+    return got
+
+
+class TestKernelMatchesReference:
+    @pytest.mark.parametrize("theta_b", KERNEL_THETAS)
+    @pytest.mark.parametrize("n", KERNEL_NS)
+    def test_renewals(self, n, theta_b):
+        c = derive_constants(ModelParams(theta_b=theta_b))
+        paths = 4 if n == 10**4 else 30
+        outcomes = set()
+        for start in _starts(c, n):
+            state = initial_state(SimConfig(n=n, initial_scaled_state=start))
+            # a long horizon ends in renewals, a short one mostly in misses
+            for horizon in (50.0, 0.02):
+                for k in range(paths):
+                    got = _assert_same_renewal(state, c, n, n * horizon, 61, k)
+                    outcomes.add(got[0] if isinstance(got, tuple) else got.direction)
+        assert {"up", "down", HorizonExceededError} <= outcomes
+
+    @pytest.mark.parametrize(
+        "book",
+        [
+            [1, 1, 0, 1, 2, 0],    # NE with buys resting at the ask
+            [1, 2, 0, -1, 1, -1],  # S with buys resting above the bid
+            [0, 2, 1, 0, -1, 3],   # E with buys resting beyond the ask
+        ],
+    )
+    def test_coexistence_faults_in_the_loop(self, book):
+        outcomes = [
+            _assert_same_renewal(LOBState(book), CONSTANTS, 100, 1e9, 62, k)
+            for k in range(40)
+        ]
+        faults = [o for o in outcomes if isinstance(o, tuple) and o[0] is RuntimeError]
+        assert faults and all("model violation" in text for _, text in faults)
+
+    def test_slot_outside_the_window_is_refused(self):
+        # only a rounding tie could send a sell cancellation past slot 5;
+        # the checked step refuses it instead of writing outside the book
+        state = LOBState([1, 1, 0, 1, -1, 0], window_origin=7)
+        with pytest.raises(RuntimeError, match="tick 13 lies outside the six-slot window"):
+            sim._apply_event(state, 6, 1, 7)
+        assert state.queues == [1, 1, 0, 1, -1, 0]
+
+    def test_unreachable_quadrant_raises_through_region_of(self):
+        for run in (sim._run_to_renewal, ref_run_to_renewal):
+            state = LOBState([1, 1, -1, 1, -1, 0])
+            with pytest.raises(ValueError, match="w < 0 with x > 0"):
+                run(state, CONSTANTS, 100, 1e9, path_stream(0))
+
+    @pytest.mark.parametrize("theta_b", KERNEL_THETAS)
+    @pytest.mark.parametrize("n", KERNEL_NS)
+    def test_scaled_paths(self, monkeypatch, n, theta_b):
+        c = derive_constants(ModelParams(theta_b=theta_b))
+        streams = []
+
+        def recorded_stream(seed, path_index=0):
+            streams.append(path_stream(seed, path_index))
+            return streams[-1]
+
+        monkeypatch.setattr(sim, "path_stream", recorded_stream)
+        paths = 2 if n == 10**4 else 8
+        # zero horizon, a ragged tail, and a path through renewals
+        for horizon, grid_step in ((0.0, 0.01), (0.05, 0.02), (0.3, 0.1)):
+            for start in _starts(c, n):
+                cfg = SimConfig(n=n, horizon=horizon, seed=63, grid_step=grid_step,
+                                initial_scaled_state=start)
+                for k in range(paths):
+                    got = run_scaled_path(cfg, c, k)
+                    ref_rng = path_stream(cfg.seed, k)
+                    want = ref_run_scaled_path(cfg, c, ref_rng)
+                    assert got.n == want.n
+                    for name in ("times", "series", "occupations"):
+                        a, b = getattr(got, name), getattr(want, name)
+                        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+                    assert streams[-1].random() == ref_rng.random()
+
+
+class TestGeneratorLock:
+    def test_interleaved_draws_continue_the_stream(self):
+        # renewals and direct draws on one shared generator, in turn
+        seen = {}
+        for run in (sim._run_to_renewal, ref_run_to_renewal):
+            rng = path_stream(64, 3)
+            seen[run] = []
+            for _ in range(20):
+                state = initial_state(SimConfig(n=100))
+                seen[run].append(run(state, CONSTANTS, 100, 5000.0, rng))
+                seen[run].append(rng.random())
+                seen[run].append(rng.standard_exponential())
+        assert seen[sim._run_to_renewal] == seen[ref_run_to_renewal]
+
+    def test_kernel_waits_for_the_generator_lock(self):
+        rng = path_stream(64, 4)
+        records = []
+
+        def renew():
+            state = initial_state(SimConfig(n=100))
+            records.append(sim._run_to_renewal(state, CONSTANTS, 100, 5000.0, rng))
+
+        worker = threading.Thread(target=renew)
+        with rng.bit_generator.lock:
+            worker.start()
+            worker.join(timeout=0.2)
+            # the worker cannot draw while another holder has the lock
+            assert worker.is_alive()
+            assert records == []
+        worker.join(timeout=30.0)
+        assert not worker.is_alive()
+        state = initial_state(SimConfig(n=100))
+        assert records == [ref_run_to_renewal(state, CONSTANTS, 100, 5000.0, path_stream(64, 4))]
