@@ -11,7 +11,9 @@ fresh interpreter, which runs this file as a script, so the build tools
 never load into the importing process nor raise its peak memory.  It
 builds in a temporary directory inside the cache and moves the result into
 place with ``os.replace``, so concurrent interpreters never load a partial
-file.
+file.  After a build, the cache's other builds for the same extension
+suffix are removed, so an edit of the source or an upgrade of numpy or cffi
+does not leave the old extension behind.
 
 There is no pure-Python fallback: when the kernel cannot be built, loading
 raises ``KernelBuildError``.
@@ -123,16 +125,31 @@ def _build(name: str, target: Path) -> None:
         ) from exc
 
 
+def _prune(keep: Path, suffix: str) -> None:
+    """Remove this interpreter's other kernel builds from the cache."""
+    for stale in keep.parent.glob("_book_kernel_*" + suffix):
+        if stale != keep:
+            stale.unlink(missing_ok=True)
+
+
 def load():
-    """Return the kernel's ``(ffi, lib)``, compiling it on a cache miss."""
+    """Return the kernel's ``(ffi, lib)``, compiling it on a cache miss.
+
+    A build replaces the cache's other builds for the same extension suffix;
+    a cache hit leaves the directory as it is.
+    """
     source = SOURCE.read_text()
     name = module_name(source)
-    path = CACHE_DIR / (name + sysconfig.get_config_var("EXT_SUFFIX"))
-    if not path.exists():
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    path = CACHE_DIR / (name + suffix)
+    built = not path.exists()
+    if built:
         _build(name, path)
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    if built:
+        _prune(path, suffix)
     return module.ffi, module.lib
 
 

@@ -7,6 +7,14 @@ by inverting its occupation clock, decomposes grid paths into excursions,
 overlays the pinned bracketing processes that the outer queues follow, and
 simulates the limit system to its first renewal.
 
+The renewal extends one path block by block and stops at the first block
+that holds a crossing.  The interior stream draws the fine normals of the
+time change, as many as the clock needs to cover the block; each bracketing
+side has its own stream and draws one normal per grid step, whatever the
+sign of the interior there.  A value on the path is therefore fixed by its
+grid index, not by the block sizes, and the grid step and horizon only set
+the step and the budget of the search.
+
 All sampling operations are pure functions of their inputs and the supplied
 generator: equal inputs and an equally seeded generator reproduce the same
 path, and independent generators may run concurrently.  Each docstring states
@@ -214,41 +222,69 @@ class LimitRenewalSample:
         object.__setattr__(self, "g_at_renewal", g)
 
 
-def _sample_brownian(n_steps: int, dt: float, rng: np.random.Generator) -> np.ndarray:
-    increments = rng.standard_normal(n_steps) * math.sqrt(dt)
-    values = np.empty(n_steps + 1)
-    values[0] = 0.0
-    np.cumsum(increments, out=values[1:])
-    return values
-
-
-def _timechange_values(
-    params: TwoSpeedParams, n_steps: int, dt: float, rng: np.random.Generator
-) -> np.ndarray:
+class _TimeChange:
     """Two-speed values on the output grid via the occupation-split clock.
 
-    A standard Brownian motion is drawn on a fine auxiliary grid long enough
-    that the accumulated split clock deterministically covers the requested
-    span; the clock adds one fine step divided by the squared rate of the
-    side occupied at the left endpoint (a value exactly at zero counts toward
-    the negative side).  Both the clock inversion and the read-out of the
-    Brownian path interpolate linearly.  Draw order: one standard normal per
-    fine step.
+    A standard Brownian motion is drawn on a fine auxiliary grid whose step
+    keeps every clock increment at or below a quarter output step; the split
+    clock adds one fine step divided by the squared rate of the side occupied
+    at the step's left endpoint (a value exactly at zero counts toward the
+    negative side).  Both the clock inversion and the read-out of the
+    Brownian path interpolate linearly.  The path is extended on demand:
+    ``read`` first draws fine steps until the clock covers the last requested
+    output point plus one output step, so the values do not depend on how
+    the reads cut the grid.  Draw order: one standard normal per fine step,
+    in time order.
     """
-    hi = max(params.sigma_plus, params.sigma_minus) ** 2
-    lo = min(params.sigma_plus, params.sigma_minus) ** 2
-    span = n_steps * dt
-    fine_dt = dt * lo / 4.0  # keeps clock increments at or below a quarter step
-    n_fine = int(math.ceil(span * hi / fine_dt - 1e-9))
-    b = _sample_brownian(n_fine, fine_dt, rng)
-    rate = np.where(b[:-1] > 0.0, 1.0 / params.sigma_plus**2, 1.0 / params.sigma_minus**2)
-    theta = np.empty(n_fine + 1)
-    theta[0] = 0.0
-    np.cumsum(rate * fine_dt, out=theta[1:])
-    s_grid = fine_dt * np.arange(n_fine + 1)
-    theta_out = dt * np.arange(n_steps + 1)
-    s_at = np.interp(theta_out, theta, s_grid)
-    return np.interp(s_at, s_grid, b)
+
+    def __init__(self, params: TwoSpeedParams, dt: float, rng: np.random.Generator) -> None:
+        hi = max(params.sigma_plus, params.sigma_minus) ** 2
+        lo = min(params.sigma_plus, params.sigma_minus) ** 2
+        self.dt = dt
+        self.rng = rng
+        self.fine_dt = dt * lo / 4.0
+        self.fine_per_clock = hi / self.fine_dt
+        self.sqrt_fine = math.sqrt(self.fine_dt)
+        self.clock_plus = 1.0 / params.sigma_plus**2 * self.fine_dt
+        self.clock_minus = 1.0 / params.sigma_minus**2 * self.fine_dt
+        # fine Brownian values and clock readings from fine index ``first`` on
+        self.first = 0
+        self.b = np.zeros(1)
+        self.theta = np.zeros(1)
+
+    def _draw(self, k: int) -> None:
+        b = self.rng.standard_normal(k)
+        b *= self.sqrt_fine
+        b[0] += self.b[-1]
+        np.add.accumulate(b, out=b)
+        positive = np.empty(k, dtype=bool)
+        positive[0] = self.b[-1] > 0.0
+        np.greater(b[:-1], 0.0, out=positive[1:])
+        theta = np.where(positive, self.clock_plus, self.clock_minus)
+        theta[0] += self.theta[-1]
+        np.add.accumulate(theta, out=theta)
+        self.b = np.concatenate((self.b, b))
+        self.theta = np.concatenate((self.theta, theta))
+
+    def read(self, start: int, stop: int) -> np.ndarray:
+        """Values at output indices ``start, ..., stop - 1``.
+
+        A later read may not start before the last index of this one.
+        """
+        target = stop * self.dt
+        while self.theta[-1] < target:
+            # one fine step beyond the worst case absorbs the clock's rounding
+            self._draw(int((target - self.theta[-1]) * self.fine_per_clock) + 1)
+        theta_out = self.dt * np.arange(start, stop)
+        s_grid = self.fine_dt * np.arange(self.first, self.first + self.b.size)
+        s_at = np.interp(theta_out, self.theta, s_grid)
+        values = np.interp(s_at, s_grid, self.b)
+        # keep the fine step that brackets the last point read, drop the rest
+        keep = int(self.theta.searchsorted(theta_out[-1], side="right")) - 1
+        self.first += keep
+        self.b = self.b[keep:]
+        self.theta = self.theta[keep:]
+        return values
 
 
 def sample_two_speed_timechange(
@@ -259,12 +295,13 @@ def sample_two_speed_timechange(
     The path diffuses with variance rate ``sigma_plus**2`` above zero and
     ``sigma_minus**2`` below.  Requires the grid step to be small next to the
     horizon measured in the faster squared rate.  Draw order: one standard
-    normal per fine auxiliary step.
+    normal per fine auxiliary step, as many steps as the clock needs to cover
+    the span plus one grid step.
     """
     hi = max(params.sigma_plus, params.sigma_minus) ** 2
     if grid.dt * hi > grid.span / 4.0:
         raise ValueError("grid step too coarse for the requested horizon")
-    values = _timechange_values(params, grid.n_steps, grid.dt, rng)
+    values = _TimeChange(params, grid.dt, rng).read(0, grid.n_steps + 1)
     return GridPath(0.0, grid.dt, values)
 
 
@@ -313,45 +350,57 @@ def decompose_excursions(
     return ExcursionList(path=path, entries=entries)
 
 
-def _excursion_stream(
-    root: np.random.SeedSequence, index: int, bit_generator: type
-) -> np.random.Generator:
-    """Fresh-noise stream for one excursion, keyed by its enumeration index.
+class _Side:
+    """One pinned bracketing process over an interior path, extended block by block.
 
-    Rebuilding the stream for the same root and index replays the identical
-    increment sequence, so extending a path extends its overlays without
-    disturbing values already produced.
+    The interior is on the side's excursions where ``sign * g`` is at least
+    the zero band ``default_zero_tol(dt)``.  There the process is ``kappa +
+    beta * S + alpha * g``, where ``S`` sums the side's normals over the steps
+    since the excursion's left end; elsewhere it is ``kappa``.  The side
+    draws one standard normal per grid step, so step ``i`` uses its ``i``-th
+    normal whatever the blocks are.
     """
-    child = np.random.SeedSequence(entropy=root.entropy, spawn_key=root.spawn_key + (index,))
-    return np.random.Generator(bit_generator(child))
+
+    def __init__(self, kappa: float, beta: float, alpha: float, sign: int, tol: float,
+                 rng: np.random.Generator) -> None:
+        self.kappa, self.beta, self.alpha = kappa, beta, alpha
+        self.sign, self.tol, self.rng = sign, tol, rng
+        self.value = kappa  # at the last point covered
+        self.total = 0.0  # sum of every normal drawn so far
+        self.base = 0.0  # ``total`` at the last point off an excursion
+
+    def extend(self, g: np.ndarray) -> np.ndarray:
+        """Values at the points of ``g``, whose first point is the last one covered."""
+        z = np.empty(g.size)
+        z[0] = self.total
+        z[1:] = self.rng.standard_normal(g.size - 1)
+        totals = np.add.accumulate(z)
+        on = self.sign * g >= self.tol
+        # each point's base is the running total at the last point off an
+        # excursion, or the carried base if there is none in this block, so
+        # totals - bases restarts at every left end
+        at = np.where(on, 0, np.arange(g.size))
+        at[0] = 0
+        np.maximum.accumulate(at, out=at)
+        bases = totals[at]
+        bases[at == 0] = self.base
+        values = np.where(on, self.kappa + self.beta * (totals - bases) + self.alpha * g,
+                          self.kappa)
+        values[0] = self.value
+        self.value, self.total, self.base = values[-1], totals[-1], bases[-1]
+        return values
 
 
-def _overlay_values(
-    gstar: GridPath,
-    entries: tuple,
-    params: DerivedConstants,
-    root: np.random.SeedSequence,
-    bit_generator: type,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pinned bracketing values (upper, lower) over the interior coordinate."""
-    n = len(gstar)
-    dt = gstar.dt
+def _bracketing_sides(params: DerivedConstants, dt: float, streams) -> tuple[_Side, _Side]:
+    """The upper side over negative excursions and the lower one over positive ones."""
+    tol = default_zero_tol(dt)
     sqdt = math.sqrt(dt)
     noise_scale = math.sqrt(1.0 - params.rho**2)
-    beta_upper = noise_scale * params.sigma_plus * sqdt
-    beta_lower = noise_scale * params.sigma_minus * sqdt
-    upper = np.full(n, params.kappa_L)
-    lower = np.full(n, params.kappa_R)
-    g = gstar.values
-    for index, (left, right, sign) in enumerate(entries):
-        m = right - left - 1
-        stream = _excursion_stream(root, index, bit_generator)
-        fresh = np.cumsum(stream.standard_normal(m))
-        interior = slice(left + 1, right)
-        if sign < 0:
-            upper[interior] = params.kappa_L + beta_upper * fresh + params.alpha_minus * g[interior]
-        else:
-            lower[interior] = params.kappa_R + beta_lower * fresh + params.alpha_plus * g[interior]
+    upper_rng, lower_rng = streams
+    upper = _Side(params.kappa_L, noise_scale * params.sigma_plus * sqdt, params.alpha_minus,
+                  -1, tol, upper_rng)
+    lower = _Side(params.kappa_R, noise_scale * params.sigma_minus * sqdt, params.alpha_plus,
+                  1, tol, lower_rng)
     return upper, lower
 
 
@@ -361,45 +410,57 @@ def build_bracketing_limits(
     """Overlay the pinned bracketing processes on an interior-coordinate path.
 
     The upper process sits at ``kappa_L`` wherever the input is nonnegative;
-    on each negative excursion it adds an independent Brownian perturbation
-    of variance rate ``(1 - rho**2) * sigma_plus**2`` plus ``alpha_minus``
-    times the excursion, restarting from ``kappa_L`` at the excursion's left
-    endpoint.  The lower process mirrors this at ``kappa_R`` over positive
-    excursions with variance rate ``(1 - rho**2) * sigma_minus**2`` and slope
-    ``alpha_plus``.  Excursions shorter than two grid steps are left pinned.
-    Draw order: one child stream per excursion, keyed by its position in
-    left-endpoint order.
+    on each negative excursion it adds a Brownian perturbation of variance
+    rate ``(1 - rho**2) * sigma_plus**2`` plus ``alpha_minus`` times the
+    excursion, restarting from ``kappa_L`` at the excursion's left endpoint.
+    The lower process mirrors this at ``kappa_R`` over positive excursions
+    with variance rate ``(1 - rho**2) * sigma_minus**2`` and slope
+    ``alpha_plus``.  The excursions are those of ``decompose_excursions`` with
+    its default zero band; the first and last points are window edges and
+    stay pinned.  Draw order: ``rng`` spawns two streams, upper then lower,
+    and each draws one standard normal per grid step.
     """
-    entries = decompose_excursions(gstar, 2.0 * gstar.dt).entries
-    root = rng.spawn(1)[0].bit_generator.seed_seq
-    upper, lower = _overlay_values(gstar, entries, params, root, type(rng.bit_generator))
+    upper_side, lower_side = _bracketing_sides(params, gstar.dt, rng.spawn(2))
+    upper = upper_side.extend(gstar.values)
+    lower = lower_side.extend(gstar.values)
+    upper[-1] = params.kappa_L
+    lower[-1] = params.kappa_R
     return GridPath(gstar.t0, gstar.dt, upper), GridPath(gstar.t0, gstar.dt, lower)
 
 
 def _first_crossing(
-    gstar: GridPath, upper: np.ndarray, lower: np.ndarray
+    start: int, dt: float, g: np.ndarray, upper: np.ndarray, lower: np.ndarray
 ) -> tuple[str, float, float] | None:
-    """First interpolated time the upper path reaches zero or the lower one does."""
-    dt = gstar.dt
+    """First interpolated time the upper path reaches zero or the lower one does.
+
+    The arrays hold grid points ``start, start + 1, ...``, and neither path
+    may have reached zero at the first of them.  The crossing step is refined
+    by linear interpolation of the crossing path, and the interior coordinate
+    is interpolated linearly at the crossing time.
+    """
     hit_time = math.inf
     direction = None
     down = np.flatnonzero(upper <= 0.0)
     if down.size:
         i = int(down[0])
-        t = dt * (i - 1) + dt * upper[i - 1] / (upper[i - 1] - upper[i])
+        t = dt * (start + i - 1) + dt * upper[i - 1] / (upper[i - 1] - upper[i])
         hit_time = t
         direction = "down"
     up = np.flatnonzero(lower >= 0.0)
     if up.size:
         i = int(up[0])
-        t = dt * (i - 1) + dt * lower[i - 1] / (lower[i - 1] - lower[i])
+        t = dt * (start + i - 1) + dt * lower[i - 1] / (lower[i - 1] - lower[i])
         if t < hit_time:
             hit_time = t
             direction = "up"
     if direction is None:
         return None
-    g = float(np.interp(hit_time, gstar.times, gstar.values))
-    return direction, hit_time, g
+    g_hit = float(np.interp(hit_time, dt * np.arange(start, start + g.size), g))
+    return direction, hit_time, g_hit
+
+
+# grid steps in the first block of a renewal search; each later block doubles
+_FIRST_BLOCK = 256
 
 
 def simulate_renewal_limit(
@@ -411,13 +472,18 @@ def simulate_renewal_limit(
     """Run the limit system to the first time a bracketing process hits zero.
 
     The interior coordinate is sampled through the occupation-split clock
-    with the rates in ``params``, the bracketing processes are overlaid, and
-    the first grid step carrying a zero crossing is refined by linear
-    interpolation.  If neither process reaches zero within the grid horizon,
-    the horizon doubles and the same underlying randomness is replayed and
-    extended, so the result is the crossing of one consistent path; after
-    ``max_doublings`` doublings without a hit the search stops with an error.
-    The grid step must resolve the pinning levels in the squared rates.
+    with the rates in ``params`` and the bracketing processes are overlaid on
+    it, block by block: the first block holds ``_FIRST_BLOCK`` grid steps and
+    each later one twice as many as the one before.  The search stops at the
+    first block in which a process reaches zero, and that step is refined by
+    linear interpolation.  The grid sets the step and the budget: after
+    ``grid.n_steps << max_doublings`` steps without a hit the search stops
+    with an error.  The grid step must resolve the pinning levels in the
+    squared rates.  Draw order: ``rng`` spawns the interior stream and the
+    overlay root; the interior stream draws one standard normal per fine
+    step of the time change, and the overlay root spawns the upper and the
+    lower stream, each drawing one standard normal per grid step.  The
+    result does not depend on the block sizes.
     """
     scale = min(
         params.kappa_L**2 / params.sigma_plus**2,
@@ -432,21 +498,23 @@ def simulate_renewal_limit(
     if max_doublings < 0:
         raise ValueError("max_doublings must be a non-negative integer")
     two_speed = TwoSpeedParams(sigma_plus=params.sigma_plus, sigma_minus=params.sigma_minus)
-    roots = rng.spawn(2)
-    interior_seed = roots[0].bit_generator.seed_seq
-    overlay_seed = roots[1].bit_generator.seed_seq
+    # the children of rng.spawn(2), without a generator on the overlay root
     bit_generator = type(rng.bit_generator)
-    for attempt in range(max_doublings + 1):
-        n_steps = grid.n_steps << attempt
-        interior_rng = np.random.Generator(bit_generator(interior_seed))
-        values = _timechange_values(two_speed, n_steps, grid.dt, interior_rng)
-        gstar = GridPath(0.0, grid.dt, values)
-        entries = decompose_excursions(gstar, 2.0 * grid.dt).entries
-        upper, lower = _overlay_values(gstar, entries, params, overlay_seed, bit_generator)
-        hit = _first_crossing(gstar, upper, lower)
+    interior_seq, overlay_seq = rng.bit_generator.seed_seq.spawn(2)
+    interior = _TimeChange(two_speed, grid.dt, np.random.Generator(bit_generator(interior_seq)))
+    streams = [np.random.Generator(bit_generator(seq)) for seq in overlay_seq.spawn(2)]
+    upper, lower = _bracketing_sides(params, grid.dt, streams)
+    budget = grid.n_steps << max_doublings
+    done = 0
+    block = _FIRST_BLOCK
+    while done < budget:
+        m = min(block, budget - done)
+        g = interior.read(done, done + m + 1)
+        hit = _first_crossing(done, grid.dt, g, upper.extend(g), lower.extend(g))
         if hit is not None:
-            direction, s_star, g = hit
-            return LimitRenewalSample(direction=direction, s_star=s_star, g_at_renewal=g)
+            return LimitRenewalSample(*hit)
+        done += m
+        block *= 2
     raise RuntimeError(
         f"no renewal within {max_doublings} horizon doublings; "
         "increase the budget or the initial horizon"

@@ -35,7 +35,7 @@ from ._book_kernel import load as _load_kernel
 from .model_params import (
     DerivedConstants,
     Region,
-    gh_transform,
+    _gh_columns,
     region_of,
 )
 
@@ -459,9 +459,8 @@ def run_scaled_path(
         _raise_status(status, q, 0, ev.slot, ev.category)
     occupations /= n
     scaled = counts / math.sqrt(n)
-    mparams = params.params
-    gh = [gh_transform(w, x, mparams) for w, x in scaled[:, 2:4].tolist()]
-    series = np.hstack([scaled, np.array(gh)])
+    g, h = _gh_columns(scaled[:, 2], scaled[:, 3], params.params)
+    series = np.column_stack([scaled, g, h])
     return ScaledPathBundle(times=times, series=series, occupations=occupations, n=n)
 
 

@@ -13,6 +13,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -194,6 +196,28 @@ def gh_transform(w: float, x: float, params: ModelParams) -> tuple[float, float]
         g = w + x
     h = x if r in _H_X else -w
     return float(g), float(h)
+
+
+def _gh_columns(
+    w: np.ndarray, x: np.ndarray, params: ModelParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`gh_transform` over arrays of interior pairs, elementwise.
+
+    Same arithmetic and the same region boundaries as the scalar map, so
+    each entry equals the scalar result; raises the same ValueError, naming
+    the first pair in the unreachable quadrant.
+    """
+    bad = (w < 0) & (x > 0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        region_of(float(w[i]), float(x[i]))  # raises the scalar map's error
+    g_ne = (x > 0) | ((x == 0) & (w > 0))  # NE, E
+    g_sw = (w < 0) | ((w == 0) & (x < 0))  # SW, S
+    g = np.where(g_ne, w + params.b * x, np.where(g_sw, params.a * w + x, w + x))
+    # NE, E, O, and SE+ and SE (w > 0 > x with w + x >= 0)
+    h_x = g_ne | ((x == 0) & (w == 0)) | ((x < 0) & (w > 0) & (w + x >= 0))
+    h = np.where(h_x, x, -w)
+    return g, h
 
 
 def gh_inverse(g: float, h: float, params: ModelParams) -> tuple[float, float]:

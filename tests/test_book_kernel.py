@@ -61,9 +61,26 @@ def test_changed_source_rebuilds_once(cache, compiles, tmp_path_factory, monkeyp
         assert _sample(lib, ffi) == (0.25, 4, 1, 7, 0)
     assert len(compiles) == 1
     assert compiles[0] != old_name
-    # the new build sits beside the old one, and no build directory is left
+    # the new build replaces the old one, and no build directory is left
+    assert [p.name for p in cache.iterdir()] == [compiles[0] + SUFFIX]
+
+
+def test_rebuild_prunes_stale_builds_and_a_hit_keeps_them(cache, compiles, tmp_path_factory,
+                                                          monkeypatch):
+    stale = cache / ("_book_kernel_0123456789abcdef" + SUFFIX)
+    stale.write_bytes(b"an older build")
+    other_abi = cache / "_book_kernel_0123456789abcdef.cpython-00-other.so"
+    other_abi.write_bytes(b"another interpreter's build")
+    kernel.load()
+    assert compiles == []
+    assert stale.exists()
+    changed = tmp_path_factory.mktemp("src") / "_book_kernel.c"
+    changed.write_text(kernel.SOURCE.read_text() + "\n/* changed */\n")
+    monkeypatch.setattr(kernel, "SOURCE", changed)
+    kernel.load()
+    assert len(compiles) == 1
     assert sorted(p.name for p in cache.iterdir()) == sorted(
-        (old_name + SUFFIX, compiles[0] + SUFFIX)
+        (compiles[0] + SUFFIX, other_abi.name)
     )
 
 

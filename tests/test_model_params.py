@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,11 +8,14 @@ from hypothesis import example, given, settings, strategies as st
 from loblab import (
     ModelParams,
     Region,
+    SimConfig,
     derive_constants,
     gh_inverse,
     gh_transform,
     region_of,
+    run_scaled_path,
 )
+from loblab.model_params import _gh_columns
 
 DEFAULT = ModelParams()
 
@@ -232,6 +236,50 @@ class TestGHTransform:
         assert gh_transform(0, -2, DEFAULT) == (-2.0, 0.0)
         g, h = gh_transform(1, -1, DEFAULT)
         assert g == 0.0 and h == -1.0
+
+
+class TestGHColumns:
+    # the array map behind the (g, h) columns of run_scaled_path must give
+    # the scalar map's value entry by entry, signed zeros included
+
+    @staticmethod
+    def _assert_matches_scalar(w, x, params):
+        g, h = _gh_columns(w, x, params)
+        pairs = zip(w.tolist(), x.tolist())
+        expected = np.array([gh_transform(wi, xi, params) for wi, xi in pairs])
+        for got, want in ((g, expected[:, 0]), (h, expected[:, 1])):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_boundary_set_hits_every_region(self):
+        # NE, E, O (with signed zeros), S, SW on and off the axis, SE+, SE,
+        # SE-, and pairs a rounding step from each boundary
+        w = np.array([1.0, 2.0, 0.0, -0.0, 0.0, 0.0, -1.0, -1.0, 3.0, 1.0, 1.0,
+                      5e-324, 0.0, 2e-300, 1e-300, 1.0, 1.0 + 2**-52])
+        x = np.array([1.0, 0.0, 0.0, 0.0, -0.0, -2.0, 0.0, -2.0, -1.0, -1.0, -2.0,
+                      0.0, -5e-324, -1e-300, -1e-300, -1.0 - 2**-52, -1.0])
+        assert {region_of(wi, xi) for wi, xi in zip(w, x)} == set(Region)
+        self._assert_matches_scalar(w, x, ModelParams(a=1.7, b=1.3))
+
+    def test_random_pairs(self):
+        w, x = _random_valid_wx(np.random.default_rng(99), 20_000)
+        self._assert_matches_scalar(w, x, ModelParams(a=1.4, b=1.6))
+
+    def test_recorded_rows(self):
+        params = ModelParams(theta_b=2.0)
+        constants = derive_constants(params)
+        for i in range(3):
+            series = run_scaled_path(SimConfig(n=2500, horizon=2.0, seed=6, grid_step=0.01),
+                                     constants, path_index=i).series
+            self._assert_matches_scalar(series[:, 2], series[:, 3], params)
+
+    def test_unreachable_quadrant_raises_the_scalar_error(self):
+        with pytest.raises(ValueError) as scalar:
+            gh_transform(-0.5, 0.25, DEFAULT)
+        w = np.array([1.0, -0.5, -2.0])
+        x = np.array([1.0, 0.25, 3.0])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(scalar.value))}$"):
+            _gh_columns(w, x, DEFAULT)
 
 
 @st.composite
