@@ -12,9 +12,10 @@ The package splits into four modules:
 - ``limit_processes``: two-speed Brownian motion by an occupation-clock
   time change, excursion decomposition, and the bracketing limit processes
   with their renewal times.
-- ``analytics``: wedge exit probabilities and passage-time densities,
-  excursion hit-time densities, renewal intensities and characteristic
-  functions, and the excursion kernels.
+- ``analytics``: excursion hit-time densities and hit probabilities,
+  renewal intensities and direction probability, the characteristic-function
+  tables, the length-measure identity (7.62), and the wedge geometry and
+  exit probabilities of the planar first-passage problem.
 """
 
 from .model_params import (
@@ -52,8 +53,6 @@ from .limit_processes import (
     decompose_excursions,
     build_bracketing_limits,
     simulate_renewal_limit,
-    grid_path_to_csv,
-    excursion_list_to_csv,
 )
 from .analytics import (
     QuadratureConfig,
@@ -61,12 +60,6 @@ from .analytics import (
     DEFAULT_QUADRATURE,
     quadrant_params,
     exit_probs,
-    metzler_density,
-    conditional_fpt_density_D,
-    conditional_fpt_density_E,
-    kernel_K,
-    kernel_p0,
-    h_l,
     p_vstar_density,
     p_ystar_density,
     p_vstar_total,
@@ -108,19 +101,11 @@ __all__ = [
     "decompose_excursions",
     "build_bracketing_limits",
     "simulate_renewal_limit",
-    "grid_path_to_csv",
-    "excursion_list_to_csv",
     "QuadratureConfig",
     "QuadrantParams",
     "DEFAULT_QUADRATURE",
     "quadrant_params",
     "exit_probs",
-    "metzler_density",
-    "conditional_fpt_density_D",
-    "conditional_fpt_density_E",
-    "kernel_K",
-    "kernel_p0",
-    "h_l",
     "p_vstar_density",
     "p_ystar_density",
     "p_vstar_total",

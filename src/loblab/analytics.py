@@ -1,12 +1,13 @@
-"""Closed-form and quadrature evaluation of the diffusion-limit statistics.
+"""Closed-form and quadrature evaluation of the diffusion-limit renewal law.
 
-Covers the first-passage machinery of a correlated planar Brownian motion
-absorbed at the two edges of a quadrant (joint and conditional passage-time
-densities, absorption-order probabilities), the excursion-conditioned
-densities for the bracketing processes to reach zero, the renewal
+Covers the densities and probabilities for the bracketing processes to
+reach zero within an excursion (a wedge Bessel series), the renewal
 intensities and price-shift direction probability built from them, the
-renewal-time characteristic functions, the Brownian excursion kernels, and
-the subordinator Fourier identity used to close the oscillatory tails.
+quadrature tables behind the renewal-time characteristic functions, and
+the length-measure Fourier identity (7.62) whose closed form those
+functions use to close the oscillatory tails.  It also keeps the wedge
+geometry of the planar first-passage problem (``quadrant_params``) and its
+absorption-order probabilities (``exit_probs``).
 
 Everything here is a pure function of its arguments.  Functions that rely on
 truncated series or truncated improper integrals accept an optional mutable
@@ -25,20 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, special
 
-from .model_params import DerivedConstants
-
 __all__ = [
     "QuadratureConfig",
     "QuadrantParams",
     "DEFAULT_QUADRATURE",
     "quadrant_params",
     "exit_probs",
-    "metzler_density",
-    "conditional_fpt_density_D",
-    "conditional_fpt_density_E",
-    "kernel_K",
-    "kernel_p0",
-    "h_l",
     "p_vstar_density",
     "p_ystar_density",
     "p_vstar_total",
@@ -161,6 +154,15 @@ def quadrant_params(v1, x1, constants=None, *, sigma_plus=None,
                           alpha=alpha, theta0=theta0, r0=math.sqrt(r0_sq))
 
 
+def exit_probs(q):
+    """Probability that each absorbing edge is reached first.
+
+    Returns (v side first, x side first); the pair sums to one.
+    """
+    p = q.theta0 / q.alpha
+    return p, 1.0 - p
+
+
 # ---------------------------------------------------------------------------
 # composite quadrature helpers
 
@@ -241,25 +243,24 @@ def _osc_power_tail(alpha, L):
 
 
 # ---------------------------------------------------------------------------
-# wedge series shared by the joint passage density and the hit densities
+# wedge Bessel series behind the hit densities
 
 # Bessel orders per scaled-Bessel call on the points still summing
 _SERIES_BLOCK = 3
 
 
-def _wedge_sum_scaled(z, w, nu_step, kind, phase, config):
-    """Pointwise sum over n of coef(n) I_{n nu_step}(z) e^{-w}.
+def _wedge_sum_scaled(z, w, nu_step, config):
+    """Pointwise sum over n of (-1)^(n-1) n^2 I_{n nu_step}(z) e^{-w}.
 
-    kind "sine" uses coef(n) = n sin(n phase); kind "alt" uses
-    coef(n) = (-1)^(n-1) n^2.  Each term is assembled from the scaled
-    Bessel function times exp(z - w), a damping factor never above one
-    here, so nothing can overflow.  Orders are taken in blocks of
-    _SERIES_BLOCK and evaluated only at the points still summing; each
-    point stops on its own test, after three consecutive orders whose term
-    is at most abs_tol (1 + |partial|) for that point, and series_terms_max
-    caps each point's order count.  A point's value therefore does not
-    depend on the points it is batched with.  Returns (values, converged),
-    converged being False when any point reached the cap first.
+    Each term is assembled from the scaled Bessel function times
+    exp(z - w), a damping factor never above one here, so nothing can overflow.
+    Orders are taken in blocks of _SERIES_BLOCK and evaluated only at the
+    points still summing; each point stops on its own test, after three
+    consecutive orders whose term is at most abs_tol (1 + |partial|) for
+    that point, and series_terms_max caps each point's order count.  A
+    point's value therefore does not depend on the points it is batched
+    with.  Returns (values, converged), converged being False when any
+    point reached the cap first.
     """
     z = np.asarray(z, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -277,10 +278,7 @@ def _wedge_sum_scaled(z, w, nu_step, kind, phase, config):
         n1 = min(n0 + _SERIES_BLOCK - 1, config.series_terms_max)
         ns = np.arange(n0, n1 + 1)
         nf = ns.astype(float)
-        if kind == "sine":
-            coef = nf * np.sin(nf * phase)
-        else:
-            coef = np.where(ns % 2 == 1, 1.0, -1.0) * nf * nf
+        coef = np.where(ns % 2 == 1, 1.0, -1.0) * nf * nf
         terms = (coef[:, None]
                  * special.ive(nf[:, None] * nu_step, zf[None, :])
                  * damp[None, :])
@@ -298,157 +296,6 @@ def _wedge_sum_scaled(z, w, nu_step, kind, phase, config):
         n0 = n1 + 1
     total[idx] = part
     return total.reshape(shape), idx.size == 0
-
-
-def _wedge_joint(u, v, q, phase, config):
-    """Joint passage density at earlier time u and later times v (array),
-    with the sine phase of the branch already chosen."""
-    v = np.asarray(v, dtype=float)
-    rho = q.rho
-    cos2a = 2.0 * rho * rho - 1.0
-    sin_a = math.sqrt(1.0 - rho * rho)
-    A = v - u
-    B = v - u * cos2a
-    denom = A + B
-    qq = q.r0 * q.r0 / (2.0 * u)
-    wexp = qq * B / denom
-    zarg = qq * A / denom
-    pref = (math.pi * sin_a
-            / (2.0 * q.alpha ** 2 * A * np.sqrt(u * (v - u * rho * rho))))
-    series, okc = _wedge_sum_scaled(zarg, wexp, math.pi / (2.0 * q.alpha),
-                                    "sine", phase, config)
-    return np.maximum(pref * series, 0.0), okc
-
-
-def metzler_density(s, t, q, config=None, flags=None):
-    """Joint density of the two edge-passage times of the driving pair.
-
-    The first argument is the passage time of the v side, the second of the
-    x side; the two branches s < t and s > t carry different series phases.
-    Values within roundoff of zero are clamped to zero.
-    """
-    s = float(s)
-    t = float(t)
-    if not (0 < s < math.inf and 0 < t < math.inf):
-        raise ValueError("both passage times must be positive and finite")
-    if s == t:
-        raise ValueError("the joint density is defined off the diagonal only")
-    cfg = _cfg(config)
-    if s < t:
-        phase = math.pi * (q.alpha - q.theta0) / q.alpha
-        vals, okc = _wedge_joint(s, np.array([t]), q, phase, cfg)
-    else:
-        phase = math.pi * q.theta0 / q.alpha
-        vals, okc = _wedge_joint(t, np.array([s]), q, phase, cfg)
-    if not okc:
-        _note(flags, FLAG_SERIES_CAP)
-    return float(vals[0])
-
-
-def exit_probs(q):
-    """Probability that each absorbing edge is reached first.
-
-    Returns (v side first, x side first); the pair sums to one.
-    """
-    p = q.theta0 / q.alpha
-    return p, 1.0 - p
-
-
-def _joint_time_integral(u, q, phase, config):
-    """Integral over the later passage time of the chosen joint branch,
-    the tail reduced to a finite integral by an inverse-sqrt substitution."""
-    span = 25.0 * max(q.r0 * q.r0, 1.0, u)
-    t_hi = u + span
-    edges = u + np.geomspace(span * 1e-8, span, 21)
-    nodes, wts, _, _ = _panel_nodes(edges)
-    vals, ok1 = _wedge_joint(u, nodes, q, phase, config)
-    finite = float(vals @ wts)
-    # beyond t_hi the integrand decays like t^{-3/2}; u_sub = t^{-1/2}
-    u_edges = np.linspace(0.0, t_hi ** -0.5, 5)
-    un, uw, _, _ = _panel_nodes(u_edges)
-    keep = un > 0
-    tv = un[keep] ** -2.0
-    tail_vals, ok2 = _wedge_joint(u, tv, q, phase, config)
-    tail = float((2.0 * tail_vals * un[keep] ** -3.0) @ uw[keep])
-    return finite + tail, ok1 and ok2
-
-
-def conditional_fpt_density_D(s, q, config=None, flags=None):
-    """Density of the v-side passage time given that edge is reached first."""
-    s = float(s)
-    if not 0 < s < math.inf:
-        raise ValueError("passage time must be positive and finite")
-    cfg = _cfg(config)
-    phase = math.pi * (q.alpha - q.theta0) / q.alpha
-    val, okc = _joint_time_integral(s, q, phase, cfg)
-    if not okc:
-        _note(flags, FLAG_SERIES_CAP)
-    return (q.alpha / q.theta0) * val
-
-
-def conditional_fpt_density_E(t, q, config=None, flags=None):
-    """Density of the x-side passage time given that edge is reached first."""
-    t = float(t)
-    if not 0 < t < math.inf:
-        raise ValueError("passage time must be positive and finite")
-    cfg = _cfg(config)
-    phase = math.pi * q.theta0 / q.alpha
-    val, okc = _joint_time_integral(t, q, phase, cfg)
-    if not okc:
-        _note(flags, FLAG_SERIES_CAP)
-    return (q.alpha / (q.alpha - q.theta0)) * val
-
-
-# ---------------------------------------------------------------------------
-# Brownian excursion kernels
-
-
-def kernel_K(t, x):
-    """First-passage kernel sqrt(2/(pi t^3)) |x| exp(-x^2 / (2t))."""
-    t = float(t)
-    if not 0 < t < math.inf:
-        raise ValueError("time must be positive and finite")
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError("state must be finite")
-    return math.sqrt(2.0 / (math.pi * t ** 3)) * abs(x) * math.exp(-x * x / (2.0 * t))
-
-
-def kernel_p0(t, x, y):
-    """Transition density of Brownian motion on (0, inf) absorbed at zero."""
-    t = float(t)
-    if not 0 < t < math.inf:
-        raise ValueError("time must be positive and finite")
-    x = float(x)
-    y = float(y)
-    if not (0 <= x < math.inf and 0 <= y < math.inf):
-        raise ValueError("states must be nonnegative and finite")
-    return (math.exp(-(x - y) ** 2 / (2.0 * t))
-            - math.exp(-(x + y) ** 2 / (2.0 * t))) / math.sqrt(2.0 * math.pi * t)
-
-
-def h_l(ell, s, a, t, b):
-    """Transition density of the excursion bridge of length ell.
-
-    Interior case 0 < s < t < ell with a > 0, plus the entrance case
-    s = 0, a = 0.
-    """
-    ell = float(ell)
-    s = float(s)
-    t = float(t)
-    a = float(a)
-    b = float(b)
-    if not 0.0 <= s < t < ell < math.inf:
-        raise ValueError("times must satisfy 0 <= s < t < ell < inf")
-    if not 0 <= b < math.inf:
-        raise ValueError("target state must be nonnegative and finite")
-    if s == 0.0:
-        if a != 0.0:
-            raise ValueError("the entrance case requires a = 0")
-        return math.sqrt(math.pi * ell ** 3 / 2.0) * kernel_K(t, b) * kernel_K(ell - t, b)
-    if not 0 < a < math.inf:
-        raise ValueError("interior case requires a positive, finite starting state")
-    return kernel_K(ell - t, b) / kernel_K(ell - s, a) * kernel_p0(t - s, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +322,7 @@ def _hit_density_core(s, ell, kappa, st2, rho, config):
     zarg = qq * A / denom
     pref = (np.sqrt(2.0 * math.pi * ell ** 3 * st2) * math.pi ** 2 * sin_a
             / (2.0 * kappa * alpha ** 3 * A * np.sqrt(s * (ell - s * rho * rho))))
-    series, okc = _wedge_sum_scaled(zarg, wexp, math.pi / (2.0 * alpha),
-                                    "alt", 0.0, config)
+    series, okc = _wedge_sum_scaled(zarg, wexp, math.pi / (2.0 * alpha), config)
     return np.maximum(pref * series, 0.0), okc
 
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import operator
-import os
 
 import numpy as np
 
@@ -42,8 +41,6 @@ __all__ = [
     "decompose_excursions",
     "build_bracketing_limits",
     "simulate_renewal_limit",
-    "grid_path_to_csv",
-    "excursion_list_to_csv",
 ]
 
 
@@ -519,34 +516,3 @@ def simulate_renewal_limit(
         f"no renewal within {max_doublings} horizon doublings; "
         "increase the budget or the initial horizon"
     )
-
-
-def _open_for_write(destination):
-    if hasattr(destination, "write"):
-        return destination, False
-    return open(os.fspath(destination), "w", encoding="utf-8", newline=""), True
-
-
-def grid_path_to_csv(path: GridPath, destination) -> None:
-    """Write a path as CSV rows (t, value) with 17 significant digits."""
-    fh, owned = _open_for_write(destination)
-    try:
-        fh.write("t,value\n")
-        for i, value in enumerate(path.values):
-            fh.write(f"{path.t0 + i * path.dt:.17g},{value:.17g}\n")
-    finally:
-        if owned:
-            fh.close()
-
-
-def excursion_list_to_csv(excursions: ExcursionList, destination) -> None:
-    """Write excursion entries as CSV rows (left, right, sign, length)."""
-    dt = excursions.path.dt
-    fh, owned = _open_for_write(destination)
-    try:
-        fh.write("left,right,sign,length\n")
-        for left, right, sign in excursions.entries:
-            fh.write(f"{left},{right},{sign},{(right - left) * dt:.17g}\n")
-    finally:
-        if owned:
-            fh.close()

@@ -8,15 +8,9 @@ from loblab import (
     DEFAULT_QUADRATURE,
     ModelParams,
     QuadratureConfig,
-    conditional_fpt_density_D,
-    conditional_fpt_density_E,
     derive_constants,
     exit_probs,
-    h_l,
     identity_7_62,
-    kernel_K,
-    kernel_p0,
-    metzler_density,
     p_vstar_density,
     p_vstar_total,
     p_ystar_density,
@@ -44,6 +38,16 @@ def constants():
 @pytest.fixture(scope="module")
 def q_default(constants):
     return quadrant_params(constants.kappa_L, constants.kappa_R, constants)
+
+
+@pytest.fixture(scope="module")
+def mirror_pair():
+    """An asymmetric model and its mirror image, which swaps buy and sell:
+    the mirror's v side is the model's y side and the other way round."""
+    model = ModelParams(a=1.2, b=1.7, lambda0=2.0, theta_b=2.0, theta_s=0.5)
+    mirror = ModelParams(a=1.7, b=1.2, lambda0=1.2 * 2.0 / 1.7,
+                         theta_b=0.5, theta_s=2.0)
+    return derive_constants(model), derive_constants(mirror)
 
 
 class TestQuadratureConfig:
@@ -145,146 +149,6 @@ class TestExitProbs:
         assert exit_probs(q)[0] < 1e-11
 
 
-class TestMetzlerDensity:
-    @pytest.mark.parametrize(
-        "s, t, ref",
-        [
-            # fixed-precision references computed at 50 significant digits
-            (0.3, 0.7, 0.1894935685504857959822),
-            (0.7, 0.3, 0.1894935685504857959822),
-            (0.05, 0.9, 0.6919603079818329971028),
-            (1.5, 2.0, 0.001828923543863795800005),
-        ],
-    )
-    def test_reference_values(self, q_default, s, t, ref):
-        assert metzler_density(s, t, q_default) == pytest.approx(ref, rel=1e-9)
-
-    def test_branch_symmetry_on_bisector(self, q_default):
-        # the default start lies on the wedge bisector, so the joint law is
-        # exchangeable
-        a = metzler_density(0.42, 1.13, q_default)
-        b = metzler_density(1.13, 0.42, q_default)
-        assert a == pytest.approx(b, rel=1e-12)
-
-    def test_nonnegative_on_grid(self, q_default):
-        grid = np.linspace(0.02, 3.0, 50)
-        for s in grid:
-            for t in grid:
-                if s != t:
-                    assert metzler_density(float(s), float(t), q_default) >= 0.0
-
-    def test_term_cap_flags_partial_value(self, q_default):
-        flags = []
-        val = metzler_density(0.3, 0.7, q_default,
-                              config=QuadratureConfig(series_terms_max=2),
-                              flags=flags)
-        assert FLAG_SERIES_CAP in flags
-        assert math.isfinite(val)
-
-    @pytest.mark.parametrize("s, t", [(0.5, 0.5), (0.0, 1.0), (-0.2, 0.5), (0.5, 0.0),
-                                      (math.inf, 1.0), (0.5, math.nan)])
-    def test_rejects_bad_domain(self, q_default, s, t):
-        with pytest.raises(ValueError):
-            metzler_density(s, t, q_default)
-
-
-def _branch_mass(dens, q):
-    """Integral over (0, inf) of a conditional passage-time density."""
-    body, _ = integrate.quad(lambda s: dens(s, q), 1e-8, 40.0,
-                             points=[0.05, 0.3, 1.0, 5.0], limit=200)
-    tail, _ = integrate.quad(lambda u: 2.0 * dens(u ** -2, q) * u ** -3,
-                             1e-8, 40.0 ** -0.5, limit=100)
-    return body + tail
-
-
-class TestConditionalDensities:
-    def test_normalizations_and_mass_identities(self, q_default):
-        p_d, p_e = exit_probs(q_default)
-        norm_d = _branch_mass(conditional_fpt_density_D, q_default)
-        norm_e = _branch_mass(conditional_fpt_density_E, q_default)
-        assert abs(norm_d - 1.0) <= 1e-3
-        assert abs(norm_e - 1.0) <= 1e-3
-        # joint-density mass on each side of the diagonal, and in total
-        assert abs(p_d * norm_d - p_d) <= 2e-3
-        assert abs(p_e * norm_e - p_e) <= 2e-3
-        assert abs(p_d * norm_d + p_e * norm_e - 1.0) <= 2e-3
-
-    def test_pointwise_values_nonnegative(self, q_default):
-        for s in (0.05, 0.3, 1.0, 4.0):
-            assert conditional_fpt_density_D(s, q_default) >= 0.0
-            assert conditional_fpt_density_E(s, q_default) >= 0.0
-
-    def test_rejects_nonpositive_times(self, q_default):
-        with pytest.raises(ValueError):
-            conditional_fpt_density_D(0.0, q_default)
-        with pytest.raises(ValueError):
-            conditional_fpt_density_E(-1.0, q_default)
-        # non-finite times are outside the domain too
-        for bad in (math.inf, math.nan):
-            with pytest.raises(ValueError):
-                conditional_fpt_density_D(bad, q_default)
-            with pytest.raises(ValueError):
-                conditional_fpt_density_E(bad, q_default)
-
-
-class TestExcursionKernels:
-    def test_interior_normalization(self):
-        val, _ = integrate.quad(lambda b: h_l(1.0, 0.2, 0.5, 0.7, b), 0.0, np.inf)
-        assert val == pytest.approx(1.0, abs=1e-8)
-
-    def test_entrance_normalization(self):
-        val, _ = integrate.quad(lambda b: h_l(1.0, 0.0, 0.0, 0.3, b), 0.0, np.inf)
-        assert val == pytest.approx(1.0, abs=1e-8)
-
-    def test_absorbed_semigroup(self):
-        s, t, x, z = 0.3, 0.4, 1.0, 0.5
-        val, _ = integrate.quad(lambda y: kernel_p0(s, x, y) * kernel_p0(t, y, z),
-                                0.0, np.inf)
-        assert val == pytest.approx(kernel_p0(s + t, x, z), abs=1e-8)
-
-    def test_first_passage_kernel_values(self):
-        assert kernel_K(1.0, 0.0) == 0.0
-        assert kernel_K(2.0, 1.5) == pytest.approx(
-            math.sqrt(2.0 / (math.pi * 8.0)) * 1.5 * math.exp(-1.5 ** 2 / 4.0),
-            rel=1e-15)
-
-    def test_rejects_domain_violations(self):
-        with pytest.raises(ValueError):
-            kernel_K(0.0, 1.0)
-        with pytest.raises(ValueError):
-            kernel_p0(-1.0, 0.5, 0.5)
-        with pytest.raises(ValueError):
-            kernel_p0(1.0, -0.5, 0.5)
-        with pytest.raises(ValueError):
-            h_l(1.0, 0.5, 0.3, 0.5, 0.2)   # s == t
-        with pytest.raises(ValueError):
-            h_l(1.0, 0.6, 0.3, 0.5, 0.2)   # s > t
-        with pytest.raises(ValueError):
-            h_l(1.0, 0.2, 0.3, 1.0, 0.2)   # t == ell
-        with pytest.raises(ValueError):
-            h_l(1.0, 0.0, 0.3, 0.5, 0.2)   # entrance needs a = 0
-        with pytest.raises(ValueError):
-            h_l(1.0, 0.2, 0.0, 0.5, 0.2)   # interior needs a > 0
-        with pytest.raises(ValueError):
-            h_l(1.0, 0.2, 0.3, 0.5, -0.1)  # negative target
-        # non-finite arguments are outside the domain too
-        bad_calls = [
-            (kernel_K, (1.0, math.nan)),
-            (kernel_K, (1.0, math.inf)),
-            (kernel_K, (math.inf, 1.0)),
-            (kernel_p0, (math.inf, 0.5, 0.5)),
-            (kernel_p0, (1.0, math.inf, 0.5)),
-            (kernel_p0, (1.0, 0.5, math.nan)),
-            (h_l, (math.inf, 0.2, 0.3, 0.5, 0.2)),
-            (h_l, (1.0, 0.2, math.inf, 0.5, 0.2)),
-            (h_l, (1.0, 0.2, 0.3, 0.5, math.inf)),
-            (h_l, (1.0, 0.0, 0.0, 0.5, math.nan)),
-        ]
-        for func, args in bad_calls:
-            with pytest.raises(ValueError):
-                func(*args)
-
-
 class TestWedgeSeries:
     # opening of the default model's wedge, so the order step is realistic
     NU_STEP = math.pi / (2.0 * 0.9625507478846870011)
@@ -293,27 +157,19 @@ class TestWedgeSeries:
     Z = np.array([500.0, 480.0, 1e-3, 2e-3, 1.0, 1.0, 5.0, 300.0])
     W = np.array([500.0, 520.0, 1e-3, 0.5, 800.0, 2000.0, 5.2, 1100.0])
 
-    @pytest.mark.parametrize("kind, phase", [("alt", 0.0), ("sine", 1.1)])
-    def test_batch_equals_points_alone(self, kind, phase):
-        vals, ok = _wedge_sum_scaled(self.Z, self.W, self.NU_STEP, kind, phase,
-                                     DEFAULT_QUADRATURE)
+    def test_batch_equals_points_alone(self):
+        vals, ok = _wedge_sum_scaled(self.Z, self.W, self.NU_STEP, DEFAULT_QUADRATURE)
         assert ok
         for i in range(self.Z.size):
             alone, ok_i = _wedge_sum_scaled(self.Z[i:i + 1], self.W[i:i + 1],
-                                            self.NU_STEP, kind, phase,
-                                            DEFAULT_QUADRATURE)
+                                            self.NU_STEP, DEFAULT_QUADRATURE)
             assert ok_i
             assert alone[0] == vals[i]
 
-    @pytest.mark.parametrize("kind, phase", [("alt", 0.0), ("sine", 1.1)])
-    def test_matches_full_sum(self, kind, phase):
-        vals, _ = _wedge_sum_scaled(self.Z, self.W, self.NU_STEP, kind, phase,
-                                    DEFAULT_QUADRATURE)
+    def test_matches_full_sum(self):
+        vals, _ = _wedge_sum_scaled(self.Z, self.W, self.NU_STEP, DEFAULT_QUADRATURE)
         ns = np.arange(1, 201, dtype=float)
-        if kind == "sine":
-            coef = ns * np.sin(ns * phase)
-        else:
-            coef = np.where(ns % 2 == 1, 1.0, -1.0) * ns * ns
+        coef = np.where(ns % 2 == 1, 1.0, -1.0) * ns * ns
         ref = (coef[:, None] * special.ive(ns[:, None] * self.NU_STEP, self.Z)
                * np.exp(self.Z - self.W)).sum(axis=0)
         tol = 10.0 * DEFAULT_QUADRATURE.abs_tol * (1.0 + np.abs(ref))
@@ -325,8 +181,8 @@ class TestWedgeSeries:
         cfg = QuadratureConfig(series_terms_max=12)
         z = np.array([1e-3, 500.0])
         w = np.array([1e-3, 500.0])
-        _, ok_small = _wedge_sum_scaled(z[:1], w[:1], self.NU_STEP, "alt", 0.0, cfg)
-        _, ok_both = _wedge_sum_scaled(z, w, self.NU_STEP, "alt", 0.0, cfg)
+        _, ok_small = _wedge_sum_scaled(z[:1], w[:1], self.NU_STEP, cfg)
+        _, ok_both = _wedge_sum_scaled(z, w, self.NU_STEP, cfg)
         assert ok_small
         assert not ok_both
 
@@ -480,6 +336,17 @@ class TestRenewalDownProb:
         assert renewal_down_prob(c2) > 0.5
 
 
+    def test_mirror_model_swaps_directions(self, mirror_pair):
+        c, cm = mirror_pair
+        down = renewal_down_prob(c)
+        assert 0.0 < down < 0.5
+        assert abs(down + renewal_down_prob(cm) - 1.0) <= 1e-15
+        lam_minus, lam_plus = renewal_intensities(c)
+        m_minus, m_plus = renewal_intensities(cm)
+        assert lam_minus == pytest.approx(m_plus, rel=1e-12)
+        assert lam_plus == pytest.approx(m_minus, rel=1e-12)
+
+
 class TestRenewalCf:
     def test_at_zero_is_exactly_one(self, constants):
         assert renewal_cf(0.0, constants) == (1.0 + 0.0j, 1.0 + 0.0j, 1.0 + 0.0j)
@@ -536,6 +403,21 @@ class TestRenewalCf:
         d_alt = (lam_minus + lam_plus
                  + (tab_v.weight + tab_y.weight) * complex(re_val, im_val))
         assert abs(d_tab - d_alt) / abs(d_tab) <= 1e-4
+
+    def test_mirror_model_swaps_sides(self, mirror_pair):
+        # the y side of an asymmetric model against the v side of its mirror
+        c, cm = mirror_pair
+        for alpha in (0.5, 2.0):
+            down, up, both = renewal_cf(alpha, c)
+            m_down, m_up, m_both = renewal_cf(alpha, cm)
+            assert abs(down - m_up) <= 1e-12
+            assert abs(up - m_down) <= 1e-12
+            assert abs(both - m_both) <= 1e-12
+            # the two sides differ here, so the swap is not checked vacuously
+            assert abs(down - up) > 1e-3
+        for ell in (0.5, 4.0):
+            assert abs(p_vstar_total(ell, c) - p_ystar_total(ell, cm)) <= 1e-12
+            assert abs(p_ystar_total(ell, c) - p_vstar_total(ell, cm)) <= 1e-12
 
     def test_flags_and_domain(self, constants):
         flags = []

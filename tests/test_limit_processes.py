@@ -1,6 +1,4 @@
-import csv
 import dataclasses
-import io
 import math
 
 import numpy as np
@@ -17,20 +15,10 @@ from loblab import (
     build_bracketing_limits,
     decompose_excursions,
     derive_constants,
-    excursion_list_to_csv,
-    grid_path_to_csv,
     path_stream,
     sample_two_speed_timechange,
     simulate_renewal_limit,
 )
-
-
-def _walk(rng, n, dt, start=0.0):
-    values = np.empty(n + 1)
-    values[0] = start
-    np.cumsum(rng.standard_normal(n) * np.sqrt(dt), out=values[1:])
-    values[1:] += start
-    return GridPath(0.0, dt, values)
 
 
 def _one_shot_time_change(params, n_steps, dt, rng):
@@ -340,24 +328,3 @@ class TestExcursionList:
         with pytest.raises(ValueError):
             ExcursionList(path, entries)
 
-
-class TestCsv:
-    def test_grid_path_round_trip(self):
-        path = _walk(np.random.default_rng(8), 50, 0.1)
-        buf = io.StringIO()
-        grid_path_to_csv(path, buf)
-        rows = list(csv.reader(io.StringIO(buf.getvalue())))
-        assert rows[0] == ["t", "value"]
-        back = np.array(rows[1:], dtype=float)
-        assert np.array_equal(back[:, 0], path.times)
-        assert np.array_equal(back[:, 1], path.values)
-
-    def test_excursion_list_round_trip(self):
-        excursions = ExcursionList(GridPath(0.0, 0.5, _VALUES),
-                                   ((0, 3, 1), (3, 6, -1), (6, 8, 1)))
-        buf = io.StringIO()
-        excursion_list_to_csv(excursions, buf)
-        rows = list(csv.reader(io.StringIO(buf.getvalue())))
-        assert rows[0] == ["left", "right", "sign", "length"]
-        assert [tuple(int(x) for x in r[:3]) for r in rows[1:]] == list(excursions.entries)
-        assert np.array_equal([float(r[3]) for r in rows[1:]], excursions.lengths)
