@@ -14,8 +14,7 @@ The package splits into four modules:
   with their renewal times.
 - ``analytics``: excursion hit-time densities and hit probabilities,
   renewal intensities and direction probability, the characteristic-function
-  tables, the length-measure identity (7.62), and the wedge geometry and
-  exit probabilities of the planar first-passage problem.
+  tables, and the length-measure identity (7.62).
 """
 
 from .model_params import (
@@ -29,7 +28,6 @@ from .model_params import (
 )
 from .lob_simulator import (
     SimConfig,
-    LOBState,
     RenewalRecord,
     ScaledPathBundle,
     HorizonExceededError,
@@ -37,7 +35,6 @@ from .lob_simulator import (
     SERIES_COLUMNS,
     path_stream,
     initial_state,
-    step_event,
     run_until_renewal,
     run_scaled_path,
     occupation_fractions,
@@ -56,10 +53,7 @@ from .limit_processes import (
 )
 from .analytics import (
     QuadratureConfig,
-    QuadrantParams,
     DEFAULT_QUADRATURE,
-    quadrant_params,
-    exit_probs,
     p_vstar_density,
     p_ystar_density,
     p_vstar_total,
@@ -79,7 +73,6 @@ __all__ = [
     "gh_transform",
     "gh_inverse",
     "SimConfig",
-    "LOBState",
     "RenewalRecord",
     "ScaledPathBundle",
     "HorizonExceededError",
@@ -87,7 +80,6 @@ __all__ = [
     "SERIES_COLUMNS",
     "path_stream",
     "initial_state",
-    "step_event",
     "run_until_renewal",
     "run_scaled_path",
     "occupation_fractions",
@@ -102,10 +94,7 @@ __all__ = [
     "build_bracketing_limits",
     "simulate_renewal_limit",
     "QuadratureConfig",
-    "QuadrantParams",
     "DEFAULT_QUADRATURE",
-    "quadrant_params",
-    "exit_probs",
     "p_vstar_density",
     "p_ystar_density",
     "p_vstar_total",

@@ -5,9 +5,7 @@ reach zero within an excursion (a wedge Bessel series), the renewal
 intensities and price-shift direction probability built from them, the
 quadrature tables behind the renewal-time characteristic functions, and
 the length-measure Fourier identity (7.62) whose closed form those
-functions use to close the oscillatory tails.  It also keeps the wedge
-geometry of the planar first-passage problem (``quadrant_params``) and its
-absorption-order probabilities (``exit_probs``).
+functions use to close the oscillatory tails.
 
 Everything here is a pure function of its arguments.  Functions that rely on
 truncated series or truncated improper integrals accept an optional mutable
@@ -28,10 +26,7 @@ from scipy import integrate, special
 
 __all__ = [
     "QuadratureConfig",
-    "QuadrantParams",
     "DEFAULT_QUADRATURE",
-    "quadrant_params",
-    "exit_probs",
     "p_vstar_density",
     "p_ystar_density",
     "p_vstar_total",
@@ -78,9 +73,14 @@ class QuadratureConfig:
         if not (isinstance(self.series_terms_max, numbers.Integral)
                 and self.series_terms_max >= 1):
             raise ValueError("series_terms_max must be an integer of at least 1")
-        lo, hi = self.tail_cut
+        try:
+            lo, hi = (float(c) for c in self.tail_cut)
+        except (TypeError, ValueError):  # not a pair of numbers
+            lo = hi = math.nan
         if not (0 < lo < hi < math.inf):
             raise ValueError("tail_cut must satisfy 0 < lower < upper < inf")
+        # a tuple keeps the config hashable for the cached tables
+        object.__setattr__(self, "tail_cut", (lo, hi))
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
@@ -93,74 +93,6 @@ def _cfg(config):
 def _note(flags, message):
     if flags is not None and message not in flags:
         flags.append(message)
-
-
-@dataclass(frozen=True)
-class QuadrantParams:
-    """Start point and geometry for the planar first-passage problem.
-
-    The driving pair is a correlated Brownian motion with standard
-    deviations sigma_plus/sigma_minus and correlation rho, started at
-    distance v1 > 0 from one absorbing edge and x1 < 0 relative to the
-    other.  After the normalizing linear map the state space is a wedge of
-    opening alpha; theta0 is the angular coordinate of the start point and
-    r0 its radius.
-    """
-
-    v1: float
-    x1: float
-    sigma_plus: float
-    sigma_minus: float
-    rho: float
-    alpha: float
-    theta0: float
-    r0: float
-
-
-def quadrant_params(v1, x1, constants=None, *, sigma_plus=None,
-                    sigma_minus=None, rho=None):
-    """Build :class:`QuadrantParams`, deriving the wedge geometry.
-
-    Diffusion coefficients come from ``constants`` (a
-    :class:`DerivedConstants`) unless given explicitly by keyword.
-    """
-    if constants is not None:
-        sigma_plus = constants.sigma_plus
-        sigma_minus = constants.sigma_minus
-        rho = constants.rho
-    if sigma_plus is None or sigma_minus is None or rho is None:
-        raise ValueError("need constants or explicit sigma_plus/sigma_minus/rho")
-    v1 = float(v1)
-    x1 = float(x1)
-    if not (math.isfinite(v1) and v1 > 0):
-        raise ValueError("v1 must be finite and positive")
-    if not (math.isfinite(x1) and x1 < 0):
-        raise ValueError("x1 must be finite and negative")
-    if not (0 < sigma_plus < math.inf and 0 < sigma_minus < math.inf):
-        raise ValueError("diffusion coefficients must be positive and finite")
-    if not -1.0 < rho < 1.0:
-        raise ValueError("correlation must lie strictly inside (-1, 1)")
-    sin_a = math.sqrt(1.0 - rho * rho)
-    alpha = math.atan2(sin_a, -rho)
-    theta0 = math.atan2(sigma_plus * sin_a * abs(x1),
-                        sigma_minus * v1 + sigma_plus * rho * x1)
-    r0_sq = (v1 * v1 / (sigma_plus * sigma_plus)
-             + 2.0 * rho * v1 * x1 / (sigma_plus * sigma_minus)
-             + x1 * x1 / (sigma_minus * sigma_minus)) / (1.0 - rho * rho)
-    if not 0.0 < theta0 < alpha:
-        raise ValueError("start point must lie strictly inside the wedge")
-    return QuadrantParams(v1=v1, x1=x1, sigma_plus=float(sigma_plus),
-                          sigma_minus=float(sigma_minus), rho=float(rho),
-                          alpha=alpha, theta0=theta0, r0=math.sqrt(r0_sq))
-
-
-def exit_probs(q):
-    """Probability that each absorbing edge is reached first.
-
-    Returns (v side first, x side first); the pair sums to one.
-    """
-    p = q.theta0 / q.alpha
-    return p, 1.0 - p
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,21 @@
 """Event-driven simulation of the six-tick order-book window at scale n.
 
 The book is six signed order counts (buys positive, sells negative), one
-per slot of the window that starts at the absolute tick window_origin and
-holds the u, v, w, x, y, z queues.  Six Poisson order flows act relative to
-the current bid and ask, which the interior pair (w, x) determines, and
-stale orders two or more ticks behind the market cancel at per-order rate
-theta/sqrt(n).  Within one renewal epoch every event targets a window
-slot, so the six slots are the whole book; at a renewal the window shifts
-one tick and the queue that leaves it is dropped.  One event sampler
-serves both the stopped book, run until a bracketing queue empties, and
-the free-running variant whose clocks follow the interior region
-regardless of the bracketing queues' values.
+per slot of the window that holds the u, v, w, x, y, z queues.  Six Poisson
+order flows act relative to the current bid and ask, which the interior
+pair (w, x) determines, and stale orders two or more ticks behind the
+market cancel at per-order rate theta/sqrt(n).  Within one renewal epoch
+every event targets a window slot, so the six slots are the whole book.
+One event sampler serves both the stopped book, run until a bracketing
+queue empties, and the free-running variant whose clocks follow the
+interior region regardless of the bracketing queues' values.
+
+The sampler draws one holding time and then one flow.  Flows 0..5 are the
+fixed flows, in sampling order: market buy at the ask, market sell at the
+bid, limit buys one and two ticks below the ask, limit sells one and two
+ticks above the bid.  Flows 6 and 7 are buy- and sell-side cancellations.
+Stale buys sit at slots <= bid - 2 and stale sells at slots >= ask + 2, so
+each pool spans at most two slots.
 
 The sampler and both event loops are a compiled kernel,
 ``_book_kernel.c``, built with cffi on the first import (see
@@ -26,7 +31,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NoReturn, Sequence
 
 import numpy as np
@@ -56,6 +61,17 @@ _TWO_TICK = frozenset((Region.E, Region.S))
 
 class HorizonExceededError(RuntimeError):
     """Raised when no renewal occurs before the configured scaled horizon."""
+
+
+def _check_seed(seed) -> int:
+    """The seed as a Python int; raises unless it is an integer in [0, 2**64)."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        raise ValueError(f"seed must be an integer, got {seed!r}") from None
+    if not 0 <= value < 2**64:
+        raise ValueError(f"seed must fit in 64 bits, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -92,12 +108,7 @@ class SimConfig:
             raise ValueError(f"n must be an integer, got {self.n!r}") from None
         if self.n < 1:
             raise ValueError(f"n must be positive, got {self.n}")
-        try:
-            object.__setattr__(self, "seed", operator.index(self.seed))
-        except TypeError:
-            raise ValueError(f"seed must be an integer, got {self.seed!r}") from None
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
+        object.__setattr__(self, "seed", _check_seed(self.seed))
         state = tuple(float(q) for q in self.initial_scaled_state)
         if len(state) != 6:
             raise ValueError(
@@ -140,45 +151,14 @@ class SimConfig:
         object.__setattr__(self, "grid_step", step)
 
 
-def _zero_occupation() -> dict[Region, float]:
-    return {r: 0.0 for r in REGION_ORDER}
-
-
-@dataclass
-class LOBState:
-    """Mutable state of one simulated book.
-
-    queues holds the signed order counts of the six window slots, leftmost
-    (u role) first; slot i sits at absolute price tick window_origin + i.
-    clock is unscaled elapsed time; occupation accumulates unscaled time
-    per interior region and sums to clock exactly at event times.
-    """
-
-    queues: list[int]
-    window_origin: int = 0
-    clock: float = 0.0
-    occupation: dict[Region, float] = field(default_factory=_zero_occupation)
-    event_count: int = 0
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.queues, (list, tuple)) or len(self.queues) != 6:
-            raise ValueError(
-                f"queues must be six window counts, got {self.queues!r}"
-            )
-        self.queues = [operator.index(c) for c in self.queues]
-
-    def window(self) -> tuple[int, int, int, int, int, int]:
-        """Signed counts of the six window slots, leftmost first."""
-        return tuple(self.queues)
-
-
 @dataclass(frozen=True)
 class RenewalRecord:
     """Outcome of running a book until a bracketing queue emptied.
 
     direction is "down" when the v-role queue vanished first and "up" when
     the y-role queue did; s_hat is the scaled stopping time; the state is
-    the six scaled queue values at that instant, in pre-shift roles.
+    the six scaled queue values at that instant, in the u..z roles they
+    held up to it.
     """
 
     direction: str
@@ -204,6 +184,7 @@ class ScaledPathBundle:
 
 def path_stream(seed: int, path_index: int = 0) -> np.random.Generator:
     """Counter-based RNG stream for one path, split from (seed, path_index)."""
+    seed = _check_seed(seed)
     try:
         path_index = operator.index(path_index)
     except TypeError:
@@ -216,7 +197,7 @@ def path_stream(seed: int, path_index: int = 0) -> np.random.Generator:
 
 def _rate_table(params: DerivedConstants, n: int):
     p = params.params
-    # fixed order-flow rates, in the sampling order documented in _next_event
+    # fixed order-flow rates, in the sampling order of the module docstring
     fixed = (
         p.lambda0,
         params.mu0,
@@ -227,31 +208,6 @@ def _rate_table(params: DerivedConstants, n: int):
     )
     sqrt_n = math.sqrt(n)
     return fixed, sum(fixed), p.theta_b / sqrt_n, p.theta_s / sqrt_n
-
-
-def _next_event(q, rates, exponential, uniform):
-    """Sample the next transition of the six-slot book q by Gillespie's method.
-
-    Draws one exponential, then one uniform, and hands both to classify in
-    the compiled kernel ``_book_kernel.c``, the only sampler; there is no
-    pure-Python fallback.  Returns (dt, slot, delta, region, category):
-    the holding time, the window slot that changes by delta, the index in
-    REGION_ORDER of the interior region in force, and the flow.  Categories
-    0..5 are the fixed flows (market buy, market sell, limit buys one/two
-    ticks below the ask, limit sells one/two ticks above the bid); 6 and 7
-    are buy- and sell-side cancellations.  Stale buys sit at slots <= bid - 2
-    and stale sells at slots >= ask + 2, so each pool spans at most two
-    slots.  The compiled loops consume a Generator in the same order, so
-    every entry point yields the same stream.
-    """
-    e, u = exponential(), uniform()
-    ev = _ffi.new("event_t *")
-    status = _lib.classify(
-        _ffi.new("int64_t[6]", q), e, u, _ffi.new("rates_t *", rates), ev
-    )
-    if status:
-        _raise_status(status, q, 0, ev.slot, ev.category)
-    return ev.dt, ev.slot, ev.delta, ev.region, ev.category
 
 
 _FAULTS = (
@@ -268,58 +224,18 @@ def _fault(message: str) -> NoReturn:
     raise RuntimeError(f"model violation: {message}")
 
 
-def _raise_status(status: int, q, origin: int, slot: int, category: int) -> NoReturn:
+def _raise_status(status: int, q, slot: int, category: int) -> NoReturn:
     """Raise the error a kernel status stands for, given the refused event."""
     if status == _lib.KERNEL_UNREACHABLE:
         region_of(q[2], q[3])  # raises: the quadrant is unreachable
     if status == _lib.KERNEL_FAULT:
-        _fault(_FAULTS[category].format(origin + slot))
-    _fault(f"event at tick {origin + slot} lies outside the six-slot window")
+        _fault(_FAULTS[category].format(slot))
+    _fault(f"event at tick {slot} lies outside the six-slot window")
 
 
 def _bitgen(bit_generator):
     """The bitgen_t of a numpy BitGenerator; draw only under its lock."""
     return _ffi.cast("bitgen_t *", bit_generator.ctypes.bit_generator.value)
-
-
-def _apply_event(state: LOBState, slot: int, delta: int, category: int) -> None:
-    """Move state's slot by delta through the kernel's checked apply step.
-
-    The step refuses a flow that finds the wrong sign at its target slot
-    (a market order with nothing to execute against, a limit order joining
-    the opposite side) and leaves the book unchanged; the compiled renewal
-    loop applies every event through the same step.
-    """
-    q = _ffi.new("int64_t[6]", state.queues)
-    status = _lib.apply_event(q, slot, delta, category)
-    if status:
-        _raise_status(status, state.queues, state.window_origin, slot, category)
-    state.queues[:] = q
-
-
-def step_event(
-    state: LOBState, params: DerivedConstants, n: int, rng: np.random.Generator
-) -> LOBState:
-    """Advance the book by one sampled transition, in place.
-
-    Competing exponential clocks: market buy/sell at the ask/bid, limit buys
-    one and two ticks below the ask, limit sells one and two ticks above the
-    bid, and per-order cancellation of buys at ticks <= bid - 2 and sells at
-    ticks >= ask + 2 at rates theta/sqrt(n).  Exactly one queue changes by
-    one order; the holding time lands in the occupation slot of the interior
-    region that was in force.  Returns the same state object.
-    """
-    q = state.queues
-    if q[1] <= 0 or q[4] >= 0:
-        _fault("bracketing queues no longer bracket; step past a renewal")
-    dt, slot, delta, region, category = _next_event(
-        q, _rate_table(params, n), rng.standard_exponential, rng.random
-    )
-    _apply_event(state, slot, delta, category)
-    state.occupation[REGION_ORDER[region]] += dt
-    state.clock += dt
-    state.event_count += 1
-    return state
 
 
 def _round_half_to_zero(value: float) -> int:
@@ -328,15 +244,15 @@ def _round_half_to_zero(value: float) -> int:
     return math.floor(value + 0.5)
 
 
-def initial_state(config: SimConfig) -> LOBState:
-    """Build the unscaled starting book from the scaled configuration.
+def initial_state(config: SimConfig) -> tuple[int, ...]:
+    """The unscaled starting book: six signed counts, u slot first.
 
     Queues start at round(sqrt(n) * scaled value) with ties toward zero;
     raises if n is too small for the bracketing queues to resolve to their
     required signs.
     """
     sqrt_n = math.sqrt(config.n)
-    counts = [_round_half_to_zero(sqrt_n * q) for q in config.initial_scaled_state]
+    counts = tuple(_round_half_to_zero(sqrt_n * q) for q in config.initial_scaled_state)
     if counts[1] < 1:
         raise ValueError(
             f"n={config.n} rounds the scaled v start {config.initial_scaled_state[1]}"
@@ -347,26 +263,20 @@ def initial_state(config: SimConfig) -> LOBState:
             f"n={config.n} rounds the scaled y start {config.initial_scaled_state[4]}"
             " to an empty queue; increase n or the start value"
         )
-    return LOBState(queues=counts)
+    return counts
 
 
-def _run_to_renewal(state, params, n, limit, rng):
-    """Step a book until v or y empties; relabel the window; return a record.
+def _run_to_renewal(counts, params, n, limit, rng):
+    """Run the book from the six counts until v or y empties; return a record.
 
-    The compiled loop holds the generator's lock while it draws.  The record
-    keeps the pre-shift roles.  The state is mutated past the renewal: after
-    a down move the window origin moves one tick left (the old u, v, w, x, y
-    queues take the v, w, x, y, z roles, the new u slot is empty and the old
-    z queue leaves the window and is dropped), after an up move one tick
-    right (the old u queue is dropped and the new z slot is empty).  The
-    dropped queue no longer counts towards any pool, so the state is for
-    inspection: no caller steps a book past its renewal.  On an error the
-    state holds the book, clock and occupation before the refused event.
+    The compiled loop holds the generator's lock while it draws, and stops
+    with a HorizonExceededError once the next event would pass the unscaled
+    time limit.
     """
-    q = _ffi.new("int64_t[6]", state.queues)
-    occ = _ffi.new("double[8]", [state.occupation[r] for r in REGION_ORDER])
-    clock = _ffi.new("double *", state.clock)
-    events = _ffi.new("int64_t *", state.event_count)
+    q = _ffi.new("int64_t[6]", counts)
+    occ = _ffi.new("double[8]")
+    clock = _ffi.new("double *")
+    events = _ffi.new("int64_t *")
     ev = _ffi.new("event_t *")
     rates = _ffi.new("rates_t *", _rate_table(params, n))
     bit_generator = rng.bit_generator
@@ -374,31 +284,18 @@ def _run_to_renewal(state, params, n, limit, rng):
         status = _lib.run_to_renewal(
             _bitgen(bit_generator), q, rates, limit, clock, occ, events, ev
         )
-    state.queues[:] = q
-    state.occupation.update(zip(REGION_ORDER, occ))
-    state.clock = clock[0]
-    state.event_count = events[0]
     if status == _lib.KERNEL_HORIZON:
         raise HorizonExceededError(
-            f"no renewal by scaled time {limit / n}; last clock {state.clock / n}"
+            f"no renewal by scaled time {limit / n}; last clock {clock[0] / n}"
         )
     if status:
-        _raise_status(status, state.queues, state.window_origin, ev.slot, ev.category)
-    q = state.queues
-    down = q[1] == 0
+        _raise_status(status, q, ev.slot, ev.category)
     sqrt_n = math.sqrt(n)
-    record = RenewalRecord(
-        direction="down" if down else "up",
-        s_hat=state.clock / n,
+    return RenewalRecord(
+        direction="down" if q[1] == 0 else "up",
+        s_hat=clock[0] / n,
         state_at_renewal=tuple(c / sqrt_n for c in q),
     )
-    if down:
-        state.queues = [0, *q[:5]]
-        state.window_origin -= 1
-    else:
-        state.queues = [*q[1:], 0]
-        state.window_origin += 1
-    return record
 
 
 def run_until_renewal(
@@ -408,13 +305,12 @@ def run_until_renewal(
 
     Returns the direction ("down" when v vanished, "up" when y vanished),
     the scaled stopping time, and the six scaled queue values at that
-    instant in pre-shift roles.  Raises HorizonExceededError if no renewal
-    occurs by the scaled horizon.
+    instant.  Raises HorizonExceededError if no renewal occurs by the
+    scaled horizon.
     """
-    state = initial_state(config)
     rng = path_stream(config.seed, path_index)
     limit = config.n * config.horizon
-    return _run_to_renewal(state, params, config.n, limit, rng)
+    return _run_to_renewal(initial_state(config), params, config.n, limit, rng)
 
 
 def run_scaled_path(
@@ -429,7 +325,7 @@ def run_scaled_path(
     accumulated exactly up to the grid instant.
     """
     n = config.n
-    q = _ffi.new("int64_t[6]", initial_state(config).queues)
+    q = _ffi.new("int64_t[6]", initial_state(config))
     rng = path_stream(config.seed, path_index)
     rates = _ffi.new("rates_t *", _rate_table(params, n))
 
@@ -456,7 +352,7 @@ def run_scaled_path(
             ev,
         )
     if status:
-        _raise_status(status, q, 0, ev.slot, ev.category)
+        _raise_status(status, q, ev.slot, ev.category)
     occupations /= n
     scaled = counts / math.sqrt(n)
     g, h = _gh_columns(scaled[:, 2], scaled[:, 3], params.params)

@@ -95,7 +95,7 @@ def derive_constants(params: ModelParams) -> DerivedConstants:
 
     Raises ValueError naming the violated constraint if the parameters are
     outside the admissible family (a > 1, b > 1, a + b > a*b, positive
-    lambda0/theta_b/theta_s).
+    and finite lambda0/theta_b/theta_s).
     """
     a, b = params.a, params.b
     lambda0 = params.lambda0
@@ -105,6 +105,9 @@ def derive_constants(params: ModelParams) -> DerivedConstants:
     _require(lambda0 > 0, "lambda0 > 0")
     _require(params.theta_b > 0, "theta_b > 0")
     _require(params.theta_s > 0, "theta_s > 0")
+    _require(lambda0 < math.inf, "lambda0 < inf")
+    _require(params.theta_b < math.inf, "theta_b < inf")
+    _require(params.theta_s < math.inf, "theta_s < inf")
 
     mu0 = a * lambda0 / b          # balance of market flow: a*lambda0 = b*mu0
     lambda1 = (a - 1) * lambda0

@@ -9,13 +9,11 @@ from loblab import (
     ModelParams,
     QuadratureConfig,
     derive_constants,
-    exit_probs,
     identity_7_62,
     p_vstar_density,
     p_vstar_total,
     p_ystar_density,
     p_ystar_total,
-    quadrant_params,
     renewal_cf,
     renewal_down_prob,
     renewal_intensities,
@@ -33,11 +31,6 @@ from loblab.analytics import (
 @pytest.fixture(scope="module")
 def constants():
     return derive_constants(ModelParams())
-
-
-@pytest.fixture(scope="module")
-def q_default(constants):
-    return quadrant_params(constants.kappa_L, constants.kappa_R, constants)
 
 
 @pytest.fixture(scope="module")
@@ -69,84 +62,25 @@ class TestQuadratureConfig:
             {"abs_tol": math.inf},
             {"tail_cut": (1e-4, math.inf)},
             {"series_terms_max": 2.5},
+            {"tail_cut": (1.0,)},
+            {"tail_cut": (1e-4, 1.0, 1e3)},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             QuadratureConfig(**kwargs)
 
+    def test_rejects_a_tail_cut_that_is_not_a_pair_by_name(self):
+        for tail_cut in ((1.0,), (1e-4, 1.0, 1e3), 5.0, ("a", "b")):
+            with pytest.raises(ValueError, match="tail_cut must satisfy"):
+                QuadratureConfig(tail_cut=tail_cut)
 
-class TestQuadrantParams:
-    def test_default_geometry(self, q_default):
-        # alpha = atan2(sqrt(33)/7, 4/7); the default start point sits on
-        # the wedge bisector with squared radius exactly 3/4
-        assert q_default.alpha == pytest.approx(0.9625507478846870011, rel=1e-15)
-        assert q_default.theta0 == pytest.approx(0.5 * q_default.alpha, rel=1e-14)
-        assert q_default.r0 == pytest.approx(math.sqrt(0.75), rel=1e-14)
-
-    def test_explicit_coefficients_override(self):
-        q = quadrant_params(0.6, -0.9, sigma_plus=2.0, sigma_minus=1.5, rho=0.0)
-        assert q.alpha == pytest.approx(math.pi / 2.0, rel=1e-15)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"v1": -1.0, "x1": -0.75},
-            {"v1": 0.0, "x1": -0.75},
-            {"v1": 0.75, "x1": 0.5},
-            {"v1": 0.75, "x1": 0.0},
-            {"v1": math.nan, "x1": -0.75},
-        ],
-    )
-    def test_rejects_bad_start(self, constants, kwargs):
-        with pytest.raises(ValueError):
-            quadrant_params(constants=constants, **kwargs)
-
-    def test_rejects_bad_coefficients(self):
-        with pytest.raises(ValueError):
-            quadrant_params(1.0, -1.0, sigma_plus=0.0, sigma_minus=1.0, rho=0.0)
-        with pytest.raises(ValueError):
-            quadrant_params(1.0, -1.0, sigma_plus=1.0, sigma_minus=1.0, rho=-1.0)
-        with pytest.raises(ValueError):
-            quadrant_params(1.0, -1.0)
-        # a non-finite coefficient fails on its own constraint, not on the
-        # wedge geometry it would corrupt
-        for sp, sm in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)):
-            with pytest.raises(ValueError, match="diffusion coefficients"):
-                quadrant_params(1.0, -1.0, sigma_plus=sp, sigma_minus=sm, rho=0.0)
-
-    def test_wedge_interior_invariant(self):
-        # any start strictly inside the quadrant must land strictly inside
-        # the wedge, for arbitrary admissible diffusion coefficients
-        rng = np.random.default_rng(20260821)
-        for _ in range(1000):
-            v1 = math.exp(rng.uniform(-3.0, 3.0))
-            x1 = -math.exp(rng.uniform(-3.0, 3.0))
-            sp = math.exp(rng.uniform(-1.5, 1.5))
-            sm = math.exp(rng.uniform(-1.5, 1.5))
-            rho = rng.uniform(-0.95, 0.95)
-            q = quadrant_params(v1, x1, sigma_plus=sp, sigma_minus=sm, rho=rho)
-            assert 0.0 < q.theta0 < q.alpha
-            p_d, p_e = exit_probs(q)
-            assert 0.0 < p_d < 1.0
-            assert abs(p_d + p_e - 1.0) <= 1e-15
-
-
-class TestExitProbs:
-    def test_default_is_even_split(self, q_default):
-        p_d, p_e = exit_probs(q_default)
-        assert p_d == pytest.approx(0.5, abs=1e-15)
-        assert p_e == pytest.approx(0.5, abs=1e-15)
-
-    def test_uncorrelated_closed_form(self):
-        # for rho = 0 the exit split reduces to (2/pi) arctan of the
-        # scaled coordinate ratio
-        q = quadrant_params(0.6, -0.9, sigma_plus=2.0, sigma_minus=1.5, rho=0.0)
-        assert exit_probs(q)[0] == pytest.approx(0.7048327646991335, rel=1e-14)
-
-    def test_far_start_never_exits_v_first(self, constants):
-        q = quadrant_params(1e12, -0.75, constants)
-        assert exit_probs(q)[0] < 1e-11
+    def test_list_tail_cut_is_stored_as_a_tuple(self, constants):
+        cfg = QuadratureConfig(tail_cut=[1e-4, 1e3])
+        assert cfg.tail_cut == (1e-4, 1e3)
+        assert type(cfg.tail_cut) is tuple
+        # the cached tables key on the config, so it must hash
+        assert renewal_down_prob(constants, config=cfg) == renewal_down_prob(constants)
 
 
 class TestWedgeSeries:

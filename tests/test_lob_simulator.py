@@ -1,3 +1,4 @@
+import functools
 import math
 import threading
 
@@ -7,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from loblab import (
     HorizonExceededError,
-    LOBState,
     ModelParams,
     Region,
     REGION_ORDER,
@@ -21,7 +21,6 @@ from loblab import (
     region_of,
     run_scaled_path,
     run_until_renewal,
-    step_event,
 )
 from loblab import lob_simulator as sim
 
@@ -83,11 +82,34 @@ PANEL_POOLS = {
 }
 
 
-def sample(book, uniforms):
+def classify(book, rates, exponential, uniform):
+    """The kernel's sampler on one book: (dt, slot, delta, region, category)."""
+    ev = sim._ffi.new("event_t *")
+    status = sim._lib.classify(
+        sim._ffi.new("int64_t[6]", list(book)), exponential, uniform,
+        sim._ffi.new("rates_t *", rates), ev,
+    )
+    assert status == sim._lib.KERNEL_OK
+    return ev.dt, ev.slot, ev.delta, ev.region, ev.category
+
+
+def apply_event(book, slot, delta, category):
+    """Move the list book through the kernel's checked apply step, in place.
+
+    The kernel's buffer is copied back before a refusal is raised, as the
+    loops raise it, so a caller sees what the refused step left.
+    """
+    q = sim._ffi.new("int64_t[6]", book)
+    status = sim._lib.apply_event(q, slot, delta, category)
+    book[:] = q
+    if status:
+        sim._raise_status(status, book, slot, category)
+
+
+def sample(book, uniform):
     """One draw of the six-slot sampler at n = 10^4, its region as a Region."""
-    rng = ScriptRng(uniforms)
-    dt, slot, delta, region, category = sim._next_event(
-        list(book), sim._rate_table(CONSTANTS, 10000), rng.standard_exponential, rng.random
+    dt, slot, delta, region, category = classify(
+        book, sim._rate_table(CONSTANTS, 10000), 1.0, uniform
     )
     return dt, slot, delta, REGION_ORDER[region], category
 
@@ -252,15 +274,15 @@ def ref_next_event(q, rates, exponential, uniform):
     return dt, ask + 2, 1, region, 7
 
 
-def ref_run_to_renewal(state, params, n, limit, rng):
+def ref_run_to_renewal(counts, params, n, limit, rng, final=None):
+    """The Python renewal loop; fills final with the loop's last book."""
     rates = sim._rate_table(params, n)
     exponential, uniform = rng.standard_exponential, rng.random
     allowed = REF_ALLOWED
-    q = state.queues
-    origin = state.window_origin
-    occ = [state.occupation[r] for r in REGION_ORDER]
-    clock = state.clock
-    events = state.event_count
+    q = list(counts)
+    occ = [0.0] * len(REGION_ORDER)
+    clock = 0.0
+    events = 0
     try:
         while True:
             dt, slot, delta, region, category = ref_next_event(
@@ -274,7 +296,7 @@ def ref_run_to_renewal(state, params, n, limit, rng):
             before = q[slot]
             lo, hi = allowed[category]
             if not lo <= before <= hi:
-                sim._fault(sim._FAULTS[category].format(origin + slot))
+                sim._fault(sim._FAULTS[category].format(slot))
             q[slot] = before + delta
             occ[region] += dt
             clock += dt
@@ -282,28 +304,19 @@ def ref_run_to_renewal(state, params, n, limit, rng):
             if q[1] == 0 or q[4] == 0:
                 break
     finally:
-        state.occupation.update(zip(REGION_ORDER, occ))
-        state.clock = clock
-        state.event_count = events
-    down = q[1] == 0
+        if final is not None:
+            final.update(queues=q, clock=clock, occupation=occ, events=events)
     sqrt_n = math.sqrt(n)
-    record = sim.RenewalRecord(
-        direction="down" if down else "up",
+    return sim.RenewalRecord(
+        direction="down" if q[1] == 0 else "up",
         s_hat=clock / n,
         state_at_renewal=tuple(c / sqrt_n for c in q),
     )
-    if down:
-        state.queues = [0, *q[:5]]
-        state.window_origin = origin - 1
-    else:
-        state.queues = [*q[1:], 0]
-        state.window_origin = origin + 1
-    return record
 
 
 def ref_run_scaled_path(config, params, rng):
     n = config.n
-    q = initial_state(config).queues
+    q = list(initial_state(config))
     exponential, uniform = rng.standard_exponential, rng.random
     rates = sim._rate_table(params, n)
     mparams = params.params
@@ -429,17 +442,11 @@ class TestInitialState:
 
     def test_counts_at_square_scale(self):
         # sqrt(10000) * 0.75 = 75 exactly
-        state = initial_state(SimConfig(n=10000))
-        assert state.window() == (75, 75, 0, 0, -75, -75)
-        assert state.window_origin == 0
-        assert state.clock == 0.0
-        assert state.event_count == 0
-        assert sum(state.occupation.values()) == 0.0
+        assert initial_state(SimConfig(n=10000)) == (75, 75, 0, 0, -75, -75)
 
     def test_small_scale_rounds_down(self):
         # sqrt(10) * 0.75 = 2.3717... rounds to 2 on both sides
-        state = initial_state(SimConfig(n=10))
-        assert state.window() == (2, 2, 0, 0, -2, -2)
+        assert initial_state(SimConfig(n=10)) == (2, 2, 0, 0, -2, -2)
 
     def test_rejects_scale_that_empties_a_bracket(self):
         with pytest.raises(ValueError, match="increase n"):
@@ -469,6 +476,18 @@ class TestPathStream:
         with pytest.raises(ValueError, match="path_index must be a non-negative integer"):
             run_until_renewal(SimConfig(n=100, horizon=50.0, seed=5), CONSTANTS, path_index)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "3"])
+    def test_rejects_bad_seed_as_sim_config_does(self, seed):
+        with pytest.raises(ValueError, match="seed must") as exc:
+            path_stream(seed)
+        with pytest.raises(ValueError) as config_exc:
+            SimConfig(n=4, seed=seed)
+        assert str(exc.value) == str(config_exc.value)
+
+    def test_integer_seed_types_share_a_stream(self):
+        want = path_stream(2**64 - 1, 3).random(4)
+        assert np.array_equal(path_stream(np.uint64(2**64 - 1), 3).random(4), want)
+
 
 class TestEventPanels:
     @pytest.mark.parametrize("region", list(PANEL_BOOKS))
@@ -480,7 +499,7 @@ class TestEventPanels:
         cum = 0.0
         for category, rate in enumerate(fixed):
             probe = (cum + rate / 2) / total
-            dt, slot, delta, seen_region, seen_cat = sample(PANEL_BOOKS[region], [probe])
+            dt, slot, delta, seen_region, seen_cat = sample(PANEL_BOOKS[region], probe)
             assert seen_region is region
             assert seen_cat == category
             assert (slot, delta) == PANEL_TARGETS[region][category]
@@ -507,7 +526,7 @@ class TestEventPanels:
         total = fixed_total + tb * 8
         for order, expected_slot in ((0.5, 0), (4.5, 0), (5.5, 1), (7.5, 1)):
             probe = (fixed_total + tb * order) / total
-            dt, slot, delta, region, cat = sample(PANEL_BOOKS[Region.NE], [probe])
+            dt, slot, delta, region, cat = sample(PANEL_BOOKS[Region.NE], probe)
             assert (cat, slot, delta) == (6, expected_slot, -1)
 
     def test_cancel_tick_selection_sells(self):
@@ -517,7 +536,7 @@ class TestEventPanels:
         total = fixed_total + ts * 9
         for order, expected_slot in ((0.5, 4), (2.5, 4), (3.5, 5), (8.5, 5)):
             probe = (fixed_total + ts * order) / total
-            dt, slot, delta, region, cat = sample(PANEL_BOOKS[Region.SW], [probe])
+            dt, slot, delta, region, cat = sample(PANEL_BOOKS[Region.SW], probe)
             assert (cat, slot, delta) == (7, expected_slot, 1)
 
     def test_leftmost_queue_cancelable_off_the_positive_side(self):
@@ -526,10 +545,10 @@ class TestEventPanels:
         fixed, fixed_total, tb, ts = sim._rate_table(CONSTANTS, 10000)
         total = fixed_total + tb * 5 + ts * 6
         probe_buy = (fixed_total + tb * 2.5) / total
-        _, slot, delta, _, cat = sample(PANEL_BOOKS[Region.SE], [probe_buy])
+        _, slot, delta, _, cat = sample(PANEL_BOOKS[Region.SE], probe_buy)
         assert (cat, slot, delta) == (6, 0, -1)
         probe_sell = (fixed_total + tb * 5 + ts * 3.0) / total
-        _, slot, delta, _, cat = sample(PANEL_BOOKS[Region.SE], [probe_sell])
+        _, slot, delta, _, cat = sample(PANEL_BOOKS[Region.SE], probe_sell)
         assert (cat, slot, delta) == (7, 5, 1)
 
     def test_cancellation_clock_vanishes_with_scale(self):
@@ -537,55 +556,10 @@ class TestEventPanels:
         _, _, tb, _ = sim._rate_table(CONSTANTS, 10**16)
         assert tb * 1000 < 1e-4
 
-    def test_origin_offset_shifts_all_ticks(self):
-        # the same book with its window at absolute tick 10: the market buy
-        # lands on the ask slot 4, absolute tick 14, in the NE panel
-        fixed, fixed_total, tb, ts = sim._rate_table(CONSTANTS, 10000)
-        total = fixed_total + tb * 8
-        probe = (fixed[0] / 2) / total
-        state = LOBState(queues=PANEL_BOOKS[Region.NE], window_origin=10)
-        step_event(state, CONSTANTS, 10000, ScriptRng([probe]))
-        changed = [
-            state.window_origin + i
-            for i, (old, new) in enumerate(zip(PANEL_BOOKS[Region.NE], state.queues))
-            if old != new
-        ]
-        assert changed == [14]
-        assert state.queues[4] - PANEL_BOOKS[Region.NE][4] == 1
-        assert state.window_origin == 10
-        assert state.occupation[Region.NE] == state.clock == 1.0 / total
-
 
 class TestStepEvent:
-    def test_advances_one_queue_by_one(self):
-        state = initial_state(SimConfig(n=10000))
-        before = list(state.queues)
-        out = step_event(state, CONSTANTS, 10000, path_stream(0))
-        assert out is state
-        assert state.event_count == 1
-        assert state.clock > 0.0
-        changed = [i for i in range(6) if before[i] != state.queues[i]]
-        assert len(changed) == 1
-        slot = changed.pop()
-        assert abs(state.queues[slot] - before[slot]) == 1
-
-    def test_holding_time_lands_in_current_region(self):
-        # the default start has w = x = 0, so the first interval is O time
-        state = initial_state(SimConfig(n=10000))
-        step_event(state, CONSTANTS, 10000, path_stream(0))
-        assert state.occupation[Region.O] == state.clock
-        assert sum(state.occupation.values()) == pytest.approx(state.clock, rel=1e-15)
-
-    def test_rejects_stepped_past_renewal(self):
-        state = LOBState(queues=[5, 0, 0, 0, -3, -1])
-        with pytest.raises(RuntimeError, match="model violation"):
-            step_event(state, CONSTANTS, 100, path_stream(0))
-
-    def test_rejects_empty_ask_side(self):
-        state = LOBState(queues=[5, 2, 0, 0, 0, 0])
-        with pytest.raises(RuntimeError, match="model violation"):
-            step_event(state, CONSTANTS, 100, path_stream(0))
-
+    # one event through the kernel's checked apply step, which the
+    # compiled renewal loop applies every event through
     @pytest.mark.parametrize(
         "category, delta, count, fragment",
         [
@@ -599,26 +573,16 @@ class TestStepEvent:
             (5, -1, 3, "limit sell"),
         ],
     )
-    def test_coexistence_faults(self, monkeypatch, category, delta, count, fragment):
-        # a flow that targets slot 2, whatever the book: step_event (through
-        # a scripted sampler) and the kernel's checked apply step, which the
-        # compiled renewal loop applies every event through, must refuse
-        # the event and leave slot 2
-        monkeypatch.setattr(
-            sim, "_next_event", lambda *args: (0.1, 2, delta, 7, category)
-        )
-        runs = (
-            lambda state: step_event(state, CONSTANTS, 100, path_stream(0)),
-            lambda state: sim._apply_event(state, 2, delta, category),
-        )
-        for run in runs:
-            state = LOBState(queues=[1, 1, count, 0, -1, 0], window_origin=7)
-            with pytest.raises(RuntimeError) as exc:
-                run(state)
-            assert "model violation" in str(exc.value)
-            assert fragment in str(exc.value)
-            assert "tick 9" in str(exc.value)
-            assert state.queues[2] == count
+    def test_coexistence_faults(self, category, delta, count, fragment):
+        # a flow that targets slot 2 and finds the wrong sign there must be
+        # refused, naming the flow and the slot
+        book = [1, 1, count, 0, -1, 0]
+        with pytest.raises(RuntimeError) as exc:
+            apply_event(book, 2, delta, category)
+        assert "model violation" in str(exc.value)
+        assert fragment in str(exc.value)
+        assert "tick 2" in str(exc.value)
+        assert book == [1, 1, count, 0, -1, 0]
 
 
 class TestRunUntilRenewal:
@@ -647,36 +611,6 @@ class TestRunUntilRenewal:
         assert r.direction == "up"
         assert r.state_at_renewal[4] == 0.0
         assert r.state_at_renewal[1] > 0.0
-
-    def test_down_relabels_window_left(self):
-        cfg = SimConfig(n=100, horizon=50.0, seed=5)
-        state = initial_state(cfg)
-        rng = path_stream(cfg.seed, 1)
-        record = sim._run_to_renewal(state, CONSTANTS, cfg.n, cfg.n * cfg.horizon, rng)
-        assert record.direction == "down"
-        assert state.window_origin == -1
-        # the emptied queue moves from the v role to the w role
-        assert state.window()[2] == 0
-        # the record keeps pre-shift roles: the old u..y now fill slots 1..5,
-        # the new u slot is empty and the old z left the window
-        assert state.queues[0] == 0
-        expected = tuple(c / 10.0 for c in state.queues[1:])
-        assert record.state_at_renewal[:5] == expected
-
-    def test_up_relabels_window_right(self):
-        cfg = SimConfig(n=100, horizon=50.0, seed=5)
-        state = initial_state(cfg)
-        rng = path_stream(cfg.seed, 0)
-        record = sim._run_to_renewal(state, CONSTANTS, cfg.n, cfg.n * cfg.horizon, rng)
-        assert record.direction == "up"
-        assert state.window_origin == 1
-        # the emptied queue moves from the y role to the x role
-        assert state.window()[3] == 0
-        # the old v..z now fill slots 0..4, the new z slot is empty and the
-        # old u left the window
-        assert state.queues[5] == 0
-        expected = tuple(c / 10.0 for c in state.queues[:5])
-        assert record.state_at_renewal[1:] == expected
 
     def test_zero_horizon_raises(self):
         with pytest.raises(HorizonExceededError):
@@ -856,20 +790,26 @@ class TestRunInvariants:
         steps=st.integers(min_value=1, max_value=150),
     )
     def test_sign_discipline_and_accounting(self, n, seed, steps):
-        state = initial_state(SimConfig(n=n))
+        # step the sampler and the checked apply step by hand, drawing as
+        # the loops do: one exponential, then one uniform; the loops' clock
+        # and occupation are checked against the reference loop below
+        book = list(initial_state(SimConfig(n=n)))
+        rates = sim._rate_table(CONSTANTS, n)
         rng = path_stream(seed)
-        taken = 0
         for _ in range(steps):
-            if state.queues[1] == 0 or state.queues[4] == 0:
+            if book[1] == 0 or book[4] == 0:
                 break
-            step_event(state, CONSTANTS, n, rng)
-            taken += 1
-            buys = [t for t, q in enumerate(state.queues) if q > 0]
-            sells = [t for t, q in enumerate(state.queues) if q < 0]
+            e, u = rng.standard_exponential(), rng.random()
+            dt, slot, delta, _, category = classify(book, rates, e, u)
+            assert 0.0 < dt < math.inf
+            before = list(book)
+            apply_event(book, slot, delta, category)
+            # exactly one order joins or leaves exactly one slot
+            assert sum(abs(a - b) for a, b in zip(book, before)) == 1
+            buys = [t for t, q in enumerate(book) if q > 0]
+            sells = [t for t, q in enumerate(book) if q < 0]
             if buys and sells:
                 assert max(buys) < min(sells)
-        assert state.event_count == taken
-        assert sum(state.occupation.values()) == pytest.approx(state.clock, rel=1e-12)
 
 
 class TestSamplerEquivalence:
@@ -934,10 +874,7 @@ class TestSamplerEquivalence:
             rt,
             ScriptRng([uniform], exponential),
         )
-        rng = ScriptRng([uniform], exponential)
-        dt, slot, delta, seen_region, category = sim._next_event(
-            book, rt, rng.standard_exponential, rng.random
-        )
+        dt, slot, delta, seen_region, category = classify(book, rt, exponential, uniform)
         assert (dt, origin + slot, delta, REGION_ORDER[seen_region], category) == expected
 
 
@@ -1000,22 +937,44 @@ def _starts(c, n):
     return starts
 
 
-def _renew(run, state, c, n, limit, rng):
+def _renew(run, counts, c, n, limit, rng):
     """A renewal run's record, or the type and text of the error it raised."""
     try:
-        return run(state, c, n, limit, rng)
+        return run(counts, c, n, limit, rng)
     except (HorizonExceededError, RuntimeError, ValueError) as exc:
         return type(exc), str(exc)
 
 
-def _assert_same_renewal(state, c, n, limit, seed, path_index):
-    kernel_state, ref_state = LOBState(list(state.queues)), LOBState(list(state.queues))
+class KernelTap:
+    """Stands in for the kernel library and keeps what the renewal loop
+    left in its buffers: the book, clock, occupation and event count."""
+
+    def __init__(self, lib):
+        self._lib = lib
+        self.final = None
+
+    def __getattr__(self, name):
+        return getattr(self._lib, name)
+
+    def run_to_renewal(self, bg, q, rates, limit, clock, occ, events, ev):
+        status = self._lib.run_to_renewal(bg, q, rates, limit, clock, occ, events, ev)
+        self.final = dict(
+            queues=list(q), clock=clock[0], occupation=list(occ), events=events[0]
+        )
+        return status
+
+
+def _assert_same_renewal(counts, c, n, limit, seed, path_index):
     kernel_rng, ref_rng = path_stream(seed, path_index), path_stream(seed, path_index)
-    got = _renew(sim._run_to_renewal, kernel_state, c, n, limit, kernel_rng)
-    want = _renew(ref_run_to_renewal, ref_state, c, n, limit, ref_rng)
+    tap, final = KernelTap(sim._lib), {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "_lib", tap)
+        got = _renew(sim._run_to_renewal, counts, c, n, limit, kernel_rng)
+    ref = functools.partial(ref_run_to_renewal, final=final)
+    want = _renew(ref, counts, c, n, limit, ref_rng)
     assert got == want
-    # queues and window shift, clock, occupation and event count
-    assert kernel_state == ref_state
+    # the loop's final book, clock, occupation and event count
+    assert tap.final == final
     # the kernel consumed exactly the reference's draws
     assert kernel_rng.random() == ref_rng.random()
     return got
@@ -1029,11 +988,11 @@ class TestKernelMatchesReference:
         paths = 4 if n == 10**4 else 30
         outcomes = set()
         for start in _starts(c, n):
-            state = initial_state(SimConfig(n=n, initial_scaled_state=start))
+            counts = initial_state(SimConfig(n=n, initial_scaled_state=start))
             # a long horizon ends in renewals, a short one mostly in misses
             for horizon in (50.0, 0.02):
                 for k in range(paths):
-                    got = _assert_same_renewal(state, c, n, n * horizon, 61, k)
+                    got = _assert_same_renewal(counts, c, n, n * horizon, 61, k)
                     outcomes.add(got[0] if isinstance(got, tuple) else got.direction)
         assert {"up", "down", HorizonExceededError} <= outcomes
 
@@ -1047,7 +1006,7 @@ class TestKernelMatchesReference:
     )
     def test_coexistence_faults_in_the_loop(self, book):
         outcomes = [
-            _assert_same_renewal(LOBState(book), CONSTANTS, 100, 1e9, 62, k)
+            _assert_same_renewal(book, CONSTANTS, 100, 1e9, 62, k)
             for k in range(40)
         ]
         faults = [o for o in outcomes if isinstance(o, tuple) and o[0] is RuntimeError]
@@ -1056,16 +1015,15 @@ class TestKernelMatchesReference:
     def test_slot_outside_the_window_is_refused(self):
         # only a rounding tie could send a sell cancellation past slot 5;
         # the checked step refuses it instead of writing outside the book
-        state = LOBState([1, 1, 0, 1, -1, 0], window_origin=7)
-        with pytest.raises(RuntimeError, match="tick 13 lies outside the six-slot window"):
-            sim._apply_event(state, 6, 1, 7)
-        assert state.queues == [1, 1, 0, 1, -1, 0]
+        book = [1, 1, 0, 1, -1, 0]
+        with pytest.raises(RuntimeError, match="tick 6 lies outside the six-slot window"):
+            apply_event(book, 6, 1, 7)
+        assert book == [1, 1, 0, 1, -1, 0]
 
     def test_unreachable_quadrant_raises_through_region_of(self):
         for run in (sim._run_to_renewal, ref_run_to_renewal):
-            state = LOBState([1, 1, -1, 1, -1, 0])
             with pytest.raises(ValueError, match="w < 0 with x > 0"):
-                run(state, CONSTANTS, 100, 1e9, path_stream(0))
+                run((1, 1, -1, 1, -1, 0), CONSTANTS, 100, 1e9, path_stream(0))
 
     @pytest.mark.parametrize("theta_b", KERNEL_THETAS)
     @pytest.mark.parametrize("n", KERNEL_NS)
@@ -1103,8 +1061,8 @@ class TestGeneratorLock:
             rng = path_stream(64, 3)
             seen[run] = []
             for _ in range(20):
-                state = initial_state(SimConfig(n=100))
-                seen[run].append(run(state, CONSTANTS, 100, 5000.0, rng))
+                counts = initial_state(SimConfig(n=100))
+                seen[run].append(run(counts, CONSTANTS, 100, 5000.0, rng))
                 seen[run].append(rng.random())
                 seen[run].append(rng.standard_exponential())
         assert seen[sim._run_to_renewal] == seen[ref_run_to_renewal]
@@ -1114,8 +1072,8 @@ class TestGeneratorLock:
         records = []
 
         def renew():
-            state = initial_state(SimConfig(n=100))
-            records.append(sim._run_to_renewal(state, CONSTANTS, 100, 5000.0, rng))
+            counts = initial_state(SimConfig(n=100))
+            records.append(sim._run_to_renewal(counts, CONSTANTS, 100, 5000.0, rng))
 
         worker = threading.Thread(target=renew)
         with rng.bit_generator.lock:
@@ -1126,5 +1084,5 @@ class TestGeneratorLock:
             assert records == []
         worker.join(timeout=30.0)
         assert not worker.is_alive()
-        state = initial_state(SimConfig(n=100))
-        assert records == [ref_run_to_renewal(state, CONSTANTS, 100, 5000.0, path_stream(64, 4))]
+        counts = initial_state(SimConfig(n=100))
+        assert records == [ref_run_to_renewal(counts, CONSTANTS, 100, 5000.0, path_stream(64, 4))]

@@ -62,6 +62,9 @@ class TestDeriveConstants:
             (ModelParams(lambda0=0.0), "lambda0 > 0"),
             (ModelParams(theta_b=-1.0), "theta_b > 0"),
             (ModelParams(theta_s=0.0), "theta_s > 0"),
+            (ModelParams(lambda0=math.inf), "lambda0 < inf"),
+            (ModelParams(theta_b=math.inf), "theta_b < inf"),
+            (ModelParams(theta_s=math.inf), "theta_s < inf"),
         ],
     )
     def test_errors_name_constraint(self, params, fragment):
