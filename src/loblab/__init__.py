@@ -17,92 +17,13 @@ The package splits into four modules:
   tables, and the length-measure identity (7.62).
 """
 
-from .model_params import (
-    ModelParams,
-    DerivedConstants,
-    Region,
-    derive_constants,
-    region_of,
-    gh_transform,
-    gh_inverse,
-)
-from .lob_simulator import (
-    SimConfig,
-    RenewalRecord,
-    ScaledPathBundle,
-    HorizonExceededError,
-    REGION_ORDER,
-    SERIES_COLUMNS,
-    path_stream,
-    initial_state,
-    run_until_renewal,
-    run_scaled_path,
-    occupation_fractions,
-    martingale_drift_stat,
-)
-from .limit_processes import (
-    GridPath,
-    GridSpec,
-    TwoSpeedParams,
-    ExcursionList,
-    LimitRenewalSample,
-    sample_two_speed_timechange,
-    decompose_excursions,
-    build_bracketing_limits,
-    simulate_renewal_limit,
-)
-from .analytics import (
-    QuadratureConfig,
-    DEFAULT_QUADRATURE,
-    p_vstar_density,
-    p_ystar_density,
-    p_vstar_total,
-    p_ystar_total,
-    renewal_intensities,
-    renewal_down_prob,
-    renewal_cf,
-    identity_7_62,
-)
+from . import model_params, lob_simulator, limit_processes, analytics
+from .model_params import *
+from .lob_simulator import *
+from .limit_processes import *
+from .analytics import *
 
-__all__ = [
-    "ModelParams",
-    "DerivedConstants",
-    "Region",
-    "derive_constants",
-    "region_of",
-    "gh_transform",
-    "gh_inverse",
-    "SimConfig",
-    "RenewalRecord",
-    "ScaledPathBundle",
-    "HorizonExceededError",
-    "REGION_ORDER",
-    "SERIES_COLUMNS",
-    "path_stream",
-    "initial_state",
-    "run_until_renewal",
-    "run_scaled_path",
-    "occupation_fractions",
-    "martingale_drift_stat",
-    "GridPath",
-    "GridSpec",
-    "TwoSpeedParams",
-    "ExcursionList",
-    "LimitRenewalSample",
-    "sample_two_speed_timechange",
-    "decompose_excursions",
-    "build_bracketing_limits",
-    "simulate_renewal_limit",
-    "QuadratureConfig",
-    "DEFAULT_QUADRATURE",
-    "p_vstar_density",
-    "p_ystar_density",
-    "p_vstar_total",
-    "p_ystar_total",
-    "renewal_intensities",
-    "renewal_down_prob",
-    "renewal_cf",
-    "identity_7_62",
-]
+__all__ = (model_params.__all__ + lob_simulator.__all__
+           + limit_processes.__all__ + analytics.__all__)
 
 __version__ = "0.1.0"

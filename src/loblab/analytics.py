@@ -11,6 +11,11 @@ Everything here is a pure function of its arguments.  Functions that rely on
 truncated series or truncated improper integrals accept an optional mutable
 ``flags`` list into which quality warnings are appended (``"series_cap"``,
 ``"tail_estimate_uncertainty"``, ``"quadrature_tolerance"``).
+
+The error targets and truncation rules are fixed constants, not arguments:
+absolute tolerance 1e-10 and relative tolerance 1e-8 for series truncation
+and quadrature, at most 200 Bessel-series terms per point, and excursion
+lengths cut at 1e-4 below and 1e3 above.
 """
 
 from __future__ import annotations
@@ -18,15 +23,11 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import numbers
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, special
 
 __all__ = [
-    "QuadratureConfig",
-    "DEFAULT_QUADRATURE",
     "p_vstar_density",
     "p_ystar_density",
     "p_vstar_total",
@@ -45,49 +46,17 @@ FLAG_QUAD = "quadrature_tolerance"
 _ENV_LOG = 30.0
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Error targets and truncation rules shared by the evaluators.
-
-    abs_tol, rel_tol
-        Error targets for series truncation and quadrature.
-    series_terms_max
-        Cap on the number of Bessel-series terms summed at each point; the
-        stopping test is per point too.  A point hitting the cap is
-        reported through the ``flags`` mechanism, never by raising.
-    tail_cut
-        (lower, upper) cutoffs for improper integrals over excursion
-        length.  Below the lower cutoff the integrand is certified small by
-        a reflection envelope; above the upper cutoff the hit probability
-        is frozen and the pure power tail integrated in closed form.
-    """
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
-    series_terms_max: int = 200
-    tail_cut: tuple[float, float] = (1e-4, 1e3)
-
-    def __post_init__(self):
-        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
-            raise ValueError("tolerances must be positive and finite")
-        if not (isinstance(self.series_terms_max, numbers.Integral)
-                and self.series_terms_max >= 1):
-            raise ValueError("series_terms_max must be an integer of at least 1")
-        try:
-            lo, hi = (float(c) for c in self.tail_cut)
-        except (TypeError, ValueError):  # not a pair of numbers
-            lo = hi = math.nan
-        if not (0 < lo < hi < math.inf):
-            raise ValueError("tail_cut must satisfy 0 < lower < upper < inf")
-        # a tuple keeps the config hashable for the cached tables
-        object.__setattr__(self, "tail_cut", (lo, hi))
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
-
-
-def _cfg(config):
-    return DEFAULT_QUADRATURE if config is None else config
+# error targets for series truncation and quadrature
+_ABS_TOL = 1e-10
+_REL_TOL = 1e-8
+# cap on the Bessel-series terms summed at each point; a point hitting it is
+# reported through ``flags``, never by raising
+_SERIES_TERMS_MAX = 200
+# (lower, upper) cutoffs of the improper integrals over excursion length:
+# below the lower one the integrand is certified small by a reflection
+# envelope, above the upper one the hit probability is frozen and the pure
+# power tail integrated in closed form
+_TAIL_CUT = (1e-4, 1e3)
 
 
 def _note(flags, message):
@@ -181,15 +150,15 @@ def _osc_power_tail(alpha, L):
 _SERIES_BLOCK = 3
 
 
-def _wedge_sum_scaled(z, w, nu_step, config):
+def _wedge_sum_scaled(z, w, nu_step):
     """Pointwise sum over n of (-1)^(n-1) n^2 I_{n nu_step}(z) e^{-w}.
 
     Each term is assembled from the scaled Bessel function times
     exp(z - w), a damping factor never above one here, so nothing can overflow.
     Orders are taken in blocks of _SERIES_BLOCK and evaluated only at the
     points still summing; each point stops on its own test, after three
-    consecutive orders whose term is at most abs_tol (1 + |partial|) for
-    that point, and series_terms_max caps each point's order count.  A
+    consecutive orders whose term is at most _ABS_TOL (1 + |partial|) for
+    that point, and _SERIES_TERMS_MAX caps each point's order count.  A
     point's value therefore does not depend on the points it is batched
     with.  Returns (values, converged), converged being False when any
     point reached the cap first.
@@ -206,8 +175,8 @@ def _wedge_sum_scaled(z, w, nu_step, config):
     part = np.zeros(zf.shape)
     run = np.zeros(zf.shape, dtype=int)
     n0 = 1
-    while idx.size and n0 <= config.series_terms_max:
-        n1 = min(n0 + _SERIES_BLOCK - 1, config.series_terms_max)
+    while idx.size and n0 <= _SERIES_TERMS_MAX:
+        n1 = min(n0 + _SERIES_BLOCK - 1, _SERIES_TERMS_MAX)
         ns = np.arange(n0, n1 + 1)
         nf = ns.astype(float)
         coef = np.where(ns % 2 == 1, 1.0, -1.0) * nf * nf
@@ -217,7 +186,7 @@ def _wedge_sum_scaled(z, w, nu_step, config):
         done = np.zeros(idx.size, dtype=bool)
         for row in terms:
             part += row
-            small = np.abs(row) <= config.abs_tol * (1.0 + np.abs(part))
+            small = np.abs(row) <= _ABS_TOL * (1.0 + np.abs(part))
             run = np.where(small, run + 1, 0)
             done |= run >= 3
         if done.any():
@@ -234,7 +203,7 @@ def _wedge_sum_scaled(z, w, nu_step, config):
 # excursion-conditioned hit densities for the bracketing processes
 
 
-def _hit_density_core(s, ell, kappa, st2, rho, config):
+def _hit_density_core(s, ell, kappa, st2, rho):
     """Density (broadcast over s and ell) that the bracketing process first
     hits zero at time s during an excursion of length ell.
 
@@ -254,7 +223,7 @@ def _hit_density_core(s, ell, kappa, st2, rho, config):
     zarg = qq * A / denom
     pref = (np.sqrt(2.0 * math.pi * ell ** 3 * st2) * math.pi ** 2 * sin_a
             / (2.0 * kappa * alpha ** 3 * A * np.sqrt(s * (ell - s * rho * rho))))
-    series, okc = _wedge_sum_scaled(zarg, wexp, math.pi / (2.0 * alpha), config)
+    series, okc = _wedge_sum_scaled(zarg, wexp, math.pi / (2.0 * alpha))
     return np.maximum(pref * series, 0.0), okc
 
 
@@ -270,26 +239,26 @@ def _hit_sides(constants):
     return side_v, side_y
 
 
-def p_vstar_density(s, ell, params, config=None, flags=None):
+def p_vstar_density(s, ell, params, flags=None):
     """Density for the left bracketing process to first reach zero at time
     s within a negative excursion of length ell."""
     (kappa, st2, _), _ = _hit_sides(params)
-    return _hit_density_point(s, ell, kappa, st2, params.rho, config, flags)
+    return _hit_density_point(s, ell, kappa, st2, params.rho, flags)
 
 
-def p_ystar_density(s, ell, params, config=None, flags=None):
+def p_ystar_density(s, ell, params, flags=None):
     """Density for the right bracketing process to first reach zero at time
     s within a positive excursion of length ell."""
     _, (kappa, st2, _) = _hit_sides(params)
-    return _hit_density_point(s, ell, kappa, st2, params.rho, config, flags)
+    return _hit_density_point(s, ell, kappa, st2, params.rho, flags)
 
 
-def _hit_density_point(s, ell, kappa, st2, rho, config, flags):
+def _hit_density_point(s, ell, kappa, st2, rho, flags):
     s = float(s)
     ell = float(ell)
     if not 0.0 < s < ell < math.inf:
         raise ValueError("hit time must satisfy 0 < s < ell < inf")
-    vals, okc = _hit_density_core(np.array([s]), ell, kappa, st2, rho, _cfg(config))
+    vals, okc = _hit_density_core(np.array([s]), ell, kappa, st2, rho)
     if not okc:
         _note(flags, FLAG_SERIES_CAP)
     return float(vals[0])
@@ -308,7 +277,7 @@ def _envelope_mass(s, kappa, st2):
     return math.erfc(kappa / math.sqrt(2.0 * st2 * s))
 
 
-def _hit_total(ell, kappa, st2, rho, config):
+def _hit_total(ell, kappa, st2, rho):
     """Probability of a hit within an excursion of length ell, with a
     refinement pass; returns (value, error_bound, converged)."""
     lo = min(_envelope_cut(kappa, st2), 0.25 * ell)
@@ -316,7 +285,7 @@ def _hit_total(ell, kappa, st2, rho, config):
     vals = []
     for n_lead, n_tail in ((10, 4), (14, 6)):
         nodes, wts, _, _ = _panel_nodes(_inner_edges(lo, ell, n_lead, n_tail))
-        dens, okc = _hit_density_core(nodes, ell, kappa, st2, rho, config)
+        dens, okc = _hit_density_core(nodes, ell, kappa, st2, rho)
         ok &= okc
         vals.append(float(dens @ wts))
     err = abs(vals[1] - vals[0]) + _envelope_mass(lo, kappa, st2)
@@ -324,29 +293,28 @@ def _hit_total(ell, kappa, st2, rho, config):
     return value, err, ok
 
 
-def p_vstar_total(ell, params, config=None, flags=None):
+def p_vstar_total(ell, params, flags=None):
     """Probability that the left bracketing process reaches zero within a
     negative excursion of length ell."""
     (kappa, st2, _), _ = _hit_sides(params)
-    return _hit_total_checked(ell, kappa, st2, params.rho, config, flags)
+    return _hit_total_checked(ell, kappa, st2, params.rho, flags)
 
 
-def p_ystar_total(ell, params, config=None, flags=None):
+def p_ystar_total(ell, params, flags=None):
     """Probability that the right bracketing process reaches zero within a
     positive excursion of length ell."""
     _, (kappa, st2, _) = _hit_sides(params)
-    return _hit_total_checked(ell, kappa, st2, params.rho, config, flags)
+    return _hit_total_checked(ell, kappa, st2, params.rho, flags)
 
 
-def _hit_total_checked(ell, kappa, st2, rho, config, flags):
+def _hit_total_checked(ell, kappa, st2, rho, flags):
     ell = float(ell)
     if not 0 < ell < math.inf:
         raise ValueError("excursion length must be positive and finite")
-    cfg = _cfg(config)
-    value, err, ok = _hit_total(ell, kappa, st2, rho, cfg)
+    value, err, ok = _hit_total(ell, kappa, st2, rho)
     if not ok:
         _note(flags, FLAG_SERIES_CAP)
-    if err > max(cfg.abs_tol, cfg.rel_tol * max(value, 1e-12)) * 100.0:
+    if err > max(_ABS_TOL, _REL_TOL * max(value, 1e-12)) * 100.0:
         _note(flags, FLAG_QUAD)
     return value
 
@@ -371,8 +339,8 @@ class _CfSide:
     __slots__ = ("weight", "s_h", "s_m", "s_coefs", "l_h", "l_m", "l_coefs",
                  "ptot_far", "lam_tab", "tail_bias", "ok")
 
-    def __init__(self, kappa, st2, weight, rho, config):
-        lmin, lmax = config.tail_cut
+    def __init__(self, kappa, st2, weight, rho):
+        lmin, lmax = _TAIL_CUT
         self.weight = weight
         ok = True
         tail_mass = math.sqrt(2.0 / math.pi) / math.sqrt(lmax)
@@ -383,11 +351,10 @@ class _CfSide:
             np.geomspace(lmin, lmax, n_l + 1))
         lo_env = _envelope_cut(kappa, st2)
         s_mat, w_mat, _, _ = _panel_nodes(_inner_edges(lo_env, l_nodes))
-        dens, okc = _hit_density_core(s_mat, l_nodes[:, None], kappa, st2,
-                                      rho, config)
+        dens, okc = _hit_density_core(s_mat, l_nodes[:, None], kappa, st2, rho)
         ok &= okc
         ptot = np.einsum("ij,ij->i", dens, w_mat)
-        far_total, _, okf = _hit_total(lmax, kappa, st2, rho, config)
+        far_total, _, okf = _hit_total(lmax, kappa, st2, rho)
         ok &= okf
         self.ptot_far = far_total
         g_l = 1.0 / np.sqrt(2.0 * math.pi * l_nodes ** 3)
@@ -401,12 +368,11 @@ class _CfSide:
         gap0 = (lmax - s_nodes) * 1e-9
         l_mat, lw_mat, _, _ = _panel_nodes(
             s_nodes[:, None] + np.geomspace(gap0, lmax - s_nodes, 17, axis=-1))
-        dens_m, okm = _hit_density_core(s_nodes[:, None], l_mat, kappa, st2,
-                                        rho, config)
+        dens_m, okm = _hit_density_core(s_nodes[:, None], l_mat, kappa, st2, rho)
         ok &= okm
         g_mat = 1.0 / np.sqrt(2.0 * math.pi * l_mat ** 3)
         m_vals = np.einsum("ij,ij,ij->i", dens_m, g_mat, lw_mat)
-        far_dens, okd = _hit_density_core(s_nodes, lmax, kappa, st2, rho, config)
+        far_dens, okd = _hit_density_core(s_nodes, lmax, kappa, st2, rho)
         ok &= okd
         m_vals = m_vals + far_dens * tail_mass
         self.s_coefs = _filon_coefs(m_vals.reshape(-1, _GL_ORDER))
@@ -424,46 +390,42 @@ class _CfSide:
         return self.weight * _filon_integral(self.s_h, self.s_m,
                                              self.s_coefs, alpha)
 
-    def denominator_part(self, alpha, lmax):
+    def denominator_part(self, alpha):
         """Transform of the hit probability against the length measure."""
         finite = _filon_integral(self.l_h, self.l_m, self.l_coefs, alpha)
-        tail = self.ptot_far * _osc_power_tail(alpha, lmax)
+        tail = self.ptot_far * _osc_power_tail(alpha, _TAIL_CUT[1])
         return self.weight * (finite + tail)
 
 
-@functools.lru_cache(maxsize=16)
-def _cf_side(kappa, st2, weight, rho, config):
-    return _CfSide(kappa, st2, weight, rho, config)
+_cf_side = functools.lru_cache(maxsize=16)(_CfSide)
 
 
-def _cf_table(params, config):
+def _cf_table(params):
     """The two side tables (v side, y side); sides with equal inputs are
     one cached object."""
     side_v, side_y = _hit_sides(params)
-    return (_cf_side(*side_v, params.rho, config),
-            _cf_side(*side_y, params.rho, config))
+    return _cf_side(*side_v, params.rho), _cf_side(*side_y, params.rho)
 
 
-def renewal_intensities(params, config=None, flags=None):
+def renewal_intensities(params, flags=None):
     """Arrival intensities (lambda_minus, lambda_plus), per unit excursion
     local time, of excursions in which the corresponding bracketing process
     reaches zero."""
-    cfg = _cfg(config)
-    tab_v, tab_y = _cf_table(params, cfg)
+    tab_v, tab_y = _cf_table(params)
     if not (tab_v.ok and tab_y.ok):
         _note(flags, FLAG_SERIES_CAP)
-    if any(t.tail_bias > cfg.rel_tol * t.lam_tab for t in (tab_v, tab_y)):
+    if any(t.tail_bias > _REL_TOL * t.lam_tab for t in (tab_v, tab_y)):
         _note(flags, FLAG_TAIL)
     return tab_v.lam_tab, tab_y.lam_tab
 
 
-def renewal_down_prob(params, config=None, flags=None):
+def renewal_down_prob(params, flags=None):
     """Probability that the first renewal shifts the price window down."""
-    lam_minus, lam_plus = renewal_intensities(params, config, flags)
+    lam_minus, lam_plus = renewal_intensities(params, flags)
     return lam_minus / (lam_minus + lam_plus)
 
 
-def renewal_cf(alpha_arg, params, config=None, flags=None):
+def renewal_cf(alpha_arg, params, flags=None):
     """Characteristic function of the renewal time, evaluated at alpha_arg.
 
     Returns three complex values: conditional on a down shift, conditional
@@ -476,18 +438,16 @@ def renewal_cf(alpha_arg, params, config=None, flags=None):
     if alpha_arg == 0.0:
         one = complex(1.0, 0.0)
         return one, one, one
-    cfg = _cfg(config)
-    _, lmax = cfg.tail_cut
-    tab_v, tab_y = _cf_table(params, cfg)
+    tab_v, tab_y = _cf_table(params)
     if not (tab_v.ok and tab_y.ok):
         _note(flags, FLAG_SERIES_CAP)
     n_v = tab_v.numerator(alpha_arg)
     n_y = tab_y.numerator(alpha_arg)
-    d_v = tab_v.denominator_part(alpha_arg, lmax)
-    d_y = tab_y.denominator_part(alpha_arg, lmax)
+    d_v = tab_v.denominator_part(alpha_arg)
+    d_y = tab_y.denominator_part(alpha_arg)
     root = math.sqrt(abs(alpha_arg)) * complex(1.0, -math.copysign(1.0, alpha_arg))
     denom = d_v + d_y + (tab_v.weight + tab_y.weight) * root
-    if tab_v.tail_bias + tab_y.tail_bias > cfg.rel_tol * abs(denom):
+    if tab_v.tail_bias + tab_y.tail_bias > _REL_TOL * abs(denom):
         _note(flags, FLAG_TAIL)
     lam_minus, lam_plus = tab_v.lam_tab, tab_y.lam_tab
     total = lam_minus + lam_plus
@@ -501,7 +461,7 @@ def renewal_cf(alpha_arg, params, config=None, flags=None):
 # subordinator Fourier identity
 
 
-def identity_7_62(alpha_arg, config=None):
+def identity_7_62(alpha_arg):
     """Both sides of the length-measure Fourier identity: the integral of
     (1 - e^{i alpha ell}) (2 pi ell^3)^{-1/2} over ell > 0 against the
     closed form sqrt(|alpha|) (1 - sign(alpha) i).
@@ -527,12 +487,7 @@ def identity_7_62(alpha_arg, config=None):
                                epsabs=1e-11, epsrel=1e-11)
     im_val, _ = integrate.quad(im_part, 0.0, cut, limit=500,
                                epsabs=1e-11, epsrel=1e-11)
-    y = cut * math.sqrt(2.0 * a / math.pi)
-    S, C = special.fresnel(y)
-    fres = complex(0.5 - C, 0.5 - S) * math.sqrt(math.pi / (2.0 * a))
-    tail = scale * (1.0 / cut
-                    - cmath.exp(1j * a * cut * cut) / cut
-                    - 2j * a * fres)
+    tail = scale / cut - _osc_power_tail(a, cut * cut)
     numeric = complex(re_val, im_val) + tail
     if alpha_arg < 0:
         numeric = numeric.conjugate()

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import operator
 
 import numpy as np
 
@@ -458,13 +457,12 @@ def _first_crossing(
 
 # grid steps in the first block of a renewal search; each later block doubles
 _FIRST_BLOCK = 256
+# the search budget is the grid's step count doubled this many times
+_BUDGET_DOUBLINGS = 12
 
 
 def simulate_renewal_limit(
-    params: DerivedConstants,
-    grid: GridSpec,
-    rng: np.random.Generator,
-    max_doublings: int = 12,
+    params: DerivedConstants, grid: GridSpec, rng: np.random.Generator
 ) -> LimitRenewalSample:
     """Run the limit system to the first time a bracketing process hits zero.
 
@@ -474,9 +472,9 @@ def simulate_renewal_limit(
     each later one twice as many as the one before.  The search stops at the
     first block in which a process reaches zero, and that step is refined by
     linear interpolation.  The grid sets the step and the budget: after
-    ``grid.n_steps << max_doublings`` steps without a hit the search stops
-    with an error.  The grid step must resolve the pinning levels in the
-    squared rates.  Draw order: ``rng`` spawns the interior stream and the
+    ``grid.n_steps << 12`` steps without a hit the search stops with an
+    error.  The grid step must resolve the pinning levels in the squared
+    rates.  Draw order: ``rng`` spawns the interior stream and the
     overlay root; the interior stream draws one standard normal per fine
     step of the time change, and the overlay root spawns the upper and the
     lower stream, each drawing one standard normal per grid step.  The
@@ -488,12 +486,6 @@ def simulate_renewal_limit(
     )
     if grid.dt > scale / 8.0:
         raise ValueError("grid step too coarse to resolve the pinned crossings")
-    try:
-        max_doublings = operator.index(max_doublings)
-    except TypeError:
-        max_doublings = -1
-    if max_doublings < 0:
-        raise ValueError("max_doublings must be a non-negative integer")
     two_speed = TwoSpeedParams(sigma_plus=params.sigma_plus, sigma_minus=params.sigma_minus)
     # the children of rng.spawn(2), without a generator on the overlay root
     bit_generator = type(rng.bit_generator)
@@ -501,7 +493,7 @@ def simulate_renewal_limit(
     interior = _TimeChange(two_speed, grid.dt, np.random.Generator(bit_generator(interior_seq)))
     streams = [np.random.Generator(bit_generator(seq)) for seq in overlay_seq.spawn(2)]
     upper, lower = _bracketing_sides(params, grid.dt, streams)
-    budget = grid.n_steps << max_doublings
+    budget = grid.n_steps << _BUDGET_DOUBLINGS
     done = 0
     block = _FIRST_BLOCK
     while done < budget:
@@ -513,6 +505,6 @@ def simulate_renewal_limit(
         done += m
         block *= 2
     raise RuntimeError(
-        f"no renewal within {max_doublings} horizon doublings; "
-        "increase the budget or the initial horizon"
+        f"no renewal within {_BUDGET_DOUBLINGS} horizon doublings; "
+        "increase the grid horizon"
     )

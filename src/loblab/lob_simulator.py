@@ -44,6 +44,21 @@ from .model_params import (
     region_of,
 )
 
+__all__ = [
+    "SimConfig",
+    "RenewalRecord",
+    "ScaledPathBundle",
+    "HorizonExceededError",
+    "REGION_ORDER",
+    "SERIES_COLUMNS",
+    "path_stream",
+    "initial_state",
+    "run_until_renewal",
+    "run_scaled_path",
+    "occupation_fractions",
+    "martingale_drift_stat",
+]
+
 # compiled on the first import, then loaded from the cache (see _book_kernel)
 _ffi, _lib = _load_kernel()
 

@@ -11,9 +11,20 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+__all__ = [
+    "ModelParams",
+    "DerivedConstants",
+    "Region",
+    "derive_constants",
+    "region_of",
+    "gh_transform",
+    "gh_inverse",
+]
 
 
 @dataclass(frozen=True)
@@ -94,9 +105,12 @@ def derive_constants(params: ModelParams) -> DerivedConstants:
     """Validate ``params`` and compute all derived constants.
 
     Raises ValueError naming the violated constraint if the parameters are
-    outside the admissible family (a > 1, b > 1, a + b > a*b, positive
-    and finite lambda0/theta_b/theta_s).
+    outside the admissible family (real numbers with a > 1, b > 1,
+    a + b > a*b, positive and finite lambda0/theta_b/theta_s).
     """
+    for name in ("a", "b", "lambda0", "theta_b", "theta_s"):
+        _require(isinstance(getattr(params, name), numbers.Real),
+                 f"{name} to be a real number")
     a, b = params.a, params.b
     lambda0 = params.lambda0
     _require(a > 1, "a > 1")

@@ -5,9 +5,8 @@ import pytest
 from scipy import integrate, special
 
 from loblab import (
-    DEFAULT_QUADRATURE,
     ModelParams,
-    QuadratureConfig,
+    analytics,
     derive_constants,
     identity_7_62,
     p_vstar_density,
@@ -21,6 +20,9 @@ from loblab import (
 from loblab.analytics import (
     FLAG_SERIES_CAP,
     FLAG_TAIL,
+    _ABS_TOL,
+    _TAIL_CUT,
+    _cf_side,
     _cf_table,
     _inner_edges,
     _legendre_moments,
@@ -43,44 +45,16 @@ def mirror_pair():
     return derive_constants(model), derive_constants(mirror)
 
 
-class TestQuadratureConfig:
-    def test_defaults(self):
-        cfg = QuadratureConfig()
-        assert cfg.abs_tol == 1e-10
-        assert cfg.rel_tol == 1e-8
-        assert cfg.series_terms_max == 200
-        assert cfg.tail_cut == (1e-4, 1e3)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"abs_tol": 0.0},
-            {"rel_tol": -1e-8},
-            {"series_terms_max": 0},
-            {"tail_cut": (0.0, 1e3)},
-            {"tail_cut": (1.0, 0.5)},
-            {"abs_tol": math.inf},
-            {"tail_cut": (1e-4, math.inf)},
-            {"series_terms_max": 2.5},
-            {"tail_cut": (1.0,)},
-            {"tail_cut": (1e-4, 1.0, 1e3)},
-        ],
-    )
-    def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
-            QuadratureConfig(**kwargs)
-
-    def test_rejects_a_tail_cut_that_is_not_a_pair_by_name(self):
-        for tail_cut in ((1.0,), (1e-4, 1.0, 1e3), 5.0, ("a", "b")):
-            with pytest.raises(ValueError, match="tail_cut must satisfy"):
-                QuadratureConfig(tail_cut=tail_cut)
-
-    def test_list_tail_cut_is_stored_as_a_tuple(self, constants):
-        cfg = QuadratureConfig(tail_cut=[1e-4, 1e3])
-        assert cfg.tail_cut == (1e-4, 1e3)
-        assert type(cfg.tail_cut) is tuple
-        # the cached tables key on the config, so it must hash
-        assert renewal_down_prob(constants, config=cfg) == renewal_down_prob(constants)
+@pytest.fixture
+def series_cap(monkeypatch):
+    """Set the per-point Bessel-series cap; the cached side tables are
+    cleared before and after, so a capped table never leaks into another
+    test."""
+    def set_cap(terms):
+        _cf_side.cache_clear()
+        monkeypatch.setattr(analytics, "_SERIES_TERMS_MAX", terms)
+    yield set_cap
+    _cf_side.cache_clear()
 
 
 class TestWedgeSeries:
@@ -92,31 +66,31 @@ class TestWedgeSeries:
     W = np.array([500.0, 520.0, 1e-3, 0.5, 800.0, 2000.0, 5.2, 1100.0])
 
     def test_batch_equals_points_alone(self):
-        vals, ok = _wedge_sum_scaled(self.Z, self.W, self.NU_STEP, DEFAULT_QUADRATURE)
+        vals, ok = _wedge_sum_scaled(self.Z, self.W, self.NU_STEP)
         assert ok
         for i in range(self.Z.size):
             alone, ok_i = _wedge_sum_scaled(self.Z[i:i + 1], self.W[i:i + 1],
-                                            self.NU_STEP, DEFAULT_QUADRATURE)
+                                            self.NU_STEP)
             assert ok_i
             assert alone[0] == vals[i]
 
     def test_matches_full_sum(self):
-        vals, _ = _wedge_sum_scaled(self.Z, self.W, self.NU_STEP, DEFAULT_QUADRATURE)
+        vals, _ = _wedge_sum_scaled(self.Z, self.W, self.NU_STEP)
         ns = np.arange(1, 201, dtype=float)
         coef = np.where(ns % 2 == 1, 1.0, -1.0) * ns * ns
         ref = (coef[:, None] * special.ive(ns[:, None] * self.NU_STEP, self.Z)
                * np.exp(self.Z - self.W)).sum(axis=0)
-        tol = 10.0 * DEFAULT_QUADRATURE.abs_tol * (1.0 + np.abs(ref))
+        tol = 10.0 * _ABS_TOL * (1.0 + np.abs(ref))
         assert np.all(np.abs(vals - ref) <= tol)
 
-    def test_cap_is_per_point(self):
+    def test_cap_is_per_point(self, series_cap):
         # the small-argument point converges in a few orders; only the
         # large one runs into a cap of 12
-        cfg = QuadratureConfig(series_terms_max=12)
+        series_cap(12)
         z = np.array([1e-3, 500.0])
         w = np.array([1e-3, 500.0])
-        _, ok_small = _wedge_sum_scaled(z[:1], w[:1], self.NU_STEP, cfg)
-        _, ok_both = _wedge_sum_scaled(z, w, self.NU_STEP, cfg)
+        _, ok_small = _wedge_sum_scaled(z[:1], w[:1], self.NU_STEP)
+        _, ok_both = _wedge_sum_scaled(z, w, self.NU_STEP)
         assert ok_small
         assert not ok_both
 
@@ -224,7 +198,7 @@ class TestRenewalIntensities:
         # independent reference: adaptive quadrature of the hit probability
         # against the excursion-length measure over the tail cut, plus the
         # frozen power tail beyond it
-        lmin, lmax = DEFAULT_QUADRATURE.tail_cut
+        lmin, lmax = _TAIL_CUT
         pts = [0.01, 0.05, 0.2, 1.0, 5.0, 25.0, 125.0]
         for model in (ModelParams(), ModelParams(theta_b=2.0)):
             c = derive_constants(model)
@@ -236,17 +210,19 @@ class TestRenewalIntensities:
             ref = (mid + far) / c.sigma_minus
             assert lam_minus == pytest.approx(ref, rel=1e-6)
 
-    def test_term_cap_is_flagged(self, constants):
+    def test_term_cap_is_flagged(self, constants, series_cap):
+        default_cap = analytics._SERIES_TERMS_MAX
+        series_cap(2)
         flags = []
-        renewal_intensities(constants, config=QuadratureConfig(series_terms_max=2),
-                            flags=flags)
+        renewal_intensities(constants, flags=flags)
         assert FLAG_SERIES_CAP in flags
+        series_cap(default_cap)
         flags = []
         renewal_intensities(constants, flags=flags)
         assert FLAG_SERIES_CAP not in flags
 
     def test_symmetric_model_builds_one_side(self, constants):
-        tables = _cf_table(constants, DEFAULT_QUADRATURE)
+        tables = _cf_table(constants)
         assert tables[0] is tables[1]
 
 
@@ -313,11 +289,11 @@ class TestRenewalCf:
         # total rates plus the transform of the no-hit length measure
         alpha = 0.5
         lam_minus, lam_plus = renewal_intensities(constants)
-        lmax = DEFAULT_QUADRATURE.tail_cut[1]
-        tab_v, tab_y = _cf_table(constants, DEFAULT_QUADRATURE)
+        lmax = _TAIL_CUT[1]
+        tab_v, tab_y = _cf_table(constants)
         root = math.sqrt(alpha) * complex(1.0, -1.0)
-        d_tab = (tab_v.denominator_part(alpha, lmax)
-                 + tab_y.denominator_part(alpha, lmax)
+        d_tab = (tab_v.denominator_part(alpha)
+                 + tab_y.denominator_part(alpha)
                  + (tab_v.weight + tab_y.weight) * root)
 
         def miss(ell):

@@ -65,6 +65,11 @@ class TestDeriveConstants:
             (ModelParams(lambda0=math.inf), "lambda0 < inf"),
             (ModelParams(theta_b=math.inf), "theta_b < inf"),
             (ModelParams(theta_s=math.inf), "theta_s < inf"),
+            (ModelParams(a="1.5"), "a to be a real number"),
+            (ModelParams(b=None), "b to be a real number"),
+            (ModelParams(lambda0="1"), "lambda0 to be a real number"),
+            (ModelParams(theta_b=1j), "theta_b to be a real number"),
+            (ModelParams(theta_s=[1.0]), "theta_s to be a real number"),
         ],
     )
     def test_errors_name_constraint(self, params, fragment):
