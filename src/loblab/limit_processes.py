@@ -75,16 +75,6 @@ class GridPath:
     def __len__(self) -> int:
         return int(self.values.size)
 
-    @property
-    def times(self) -> np.ndarray:
-        """Grid times, same length as ``values``."""
-        return self.t0 + self.dt * np.arange(self.values.size)
-
-    @property
-    def end_time(self) -> float:
-        """Time of the last grid point."""
-        return self.t0 + self.dt * (self.values.size - 1)
-
 
 @dataclasses.dataclass(frozen=True)
 class GridSpec:
@@ -107,6 +97,8 @@ class GridSpec:
             raise ValueError("grid step must be positive and finite")
         if dt > horizon:
             raise ValueError("grid step cannot exceed the horizon")
+        if not math.isfinite(horizon / dt):
+            raise ValueError("horizon / grid step must be finite (the step count)")
         object.__setattr__(self, "horizon", horizon)
         object.__setattr__(self, "dt", dt)
 

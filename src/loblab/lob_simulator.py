@@ -40,7 +40,7 @@ from ._book_kernel import load as _load_kernel
 from .model_params import (
     DerivedConstants,
     Region,
-    _gh_columns,
+    gh_transform,
     region_of,
 )
 
@@ -370,7 +370,7 @@ def run_scaled_path(
         _raise_status(status, q, ev.slot, ev.category)
     occupations /= n
     scaled = counts / math.sqrt(n)
-    g, h = _gh_columns(scaled[:, 2], scaled[:, 3], params.params)
+    g, h = gh_transform(scaled[:, 2], scaled[:, 3], params.params)
     series = np.column_stack([scaled, g, h])
     return ScaledPathBundle(times=times, series=series, occupations=occupations, n=n)
 

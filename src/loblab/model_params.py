@@ -23,7 +23,6 @@ __all__ = [
     "derive_constants",
     "region_of",
     "gh_transform",
-    "gh_inverse",
 ]
 
 
@@ -166,8 +165,11 @@ def region_of(w: float, x: float) -> Region:
     """Classify the interior pair (w, x).
 
     Comparisons are exact; callers quantize first if they carry float noise.
-    Raises ValueError for the unreachable quadrant {w < 0, x > 0}.
+    Raises ValueError for a NaN or infinite w or x, and for the unreachable
+    quadrant {w < 0, x > 0}.
     """
+    if not (-math.inf < w < math.inf and -math.inf < x < math.inf):
+        raise ValueError(f"invalid interior state (w={w}, x={x}): w and x must be finite")
     if w < 0 and x > 0:
         raise ValueError(f"invalid interior state (w={w}, x={x}): w < 0 with x > 0")
     if x > 0:
@@ -191,76 +193,32 @@ def region_of(w: float, x: float) -> Region:
     return Region.SE_minus
 
 
-_G_NE = frozenset((Region.NE, Region.E))
-_G_SW = frozenset((Region.SW, Region.S))
-_H_X = frozenset((Region.NE, Region.E, Region.SE_plus, Region.SE, Region.O))
-
-
-def gh_transform(w: float, x: float, params: ModelParams) -> tuple[float, float]:
-    """Map the interior pair (w, x) to the (G, H) coordinates.
+def gh_transform(
+    w: float | np.ndarray, x: float | np.ndarray, params: ModelParams
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
+    """Map interior pairs (w, x) to the (G, H) coordinates, elementwise.
 
     G is the drift-free combination (w + b*x on the buy-heavy side, w + x in
     the middle wedge, a*w + x on the sell-heavy side); H is the coordinate
     that collapses in the diffusion limit (x on the buy-heavy side, -w on the
     sell-heavy side).  The map is continuous and piecewise linear.
+
+    w and x are scalars or arrays that broadcast together.  Scalars give a
+    pair of floats and arrays a pair of float arrays.  Raises
+    :func:`region_of`'s ValueError at the first pair that is not finite or
+    lies in the unreachable quadrant.
     """
-    r = region_of(w, x)
-    if r in _G_NE:
-        g = w + params.b * x
-    elif r in _G_SW:
-        g = params.a * w + x
-    else:
-        g = w + x
-    h = x if r in _H_X else -w
-    return float(g), float(h)
-
-
-def _gh_columns(
-    w: np.ndarray, x: np.ndarray, params: ModelParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`gh_transform` over arrays of interior pairs, elementwise.
-
-    Same arithmetic and the same region boundaries as the scalar map, so
-    each entry equals the scalar result; raises the same ValueError, naming
-    the first pair in the unreachable quadrant.
-    """
-    bad = (w < 0) & (x > 0)
+    w, x = np.broadcast_arrays(w, x)
+    bad = ~(np.isfinite(w) & np.isfinite(x)) | ((w < 0) & (x > 0))
     if bad.any():
         i = int(np.argmax(bad))
-        region_of(float(w[i]), float(x[i]))  # raises the scalar map's error
+        region_of(w.flat[i].item(), x.flat[i].item())  # raises its ValueError
     g_ne = (x > 0) | ((x == 0) & (w > 0))  # NE, E
     g_sw = (w < 0) | ((w == 0) & (x < 0))  # SW, S
     g = np.where(g_ne, w + params.b * x, np.where(g_sw, params.a * w + x, w + x))
     # NE, E, O, and SE+ and SE (w > 0 > x with w + x >= 0)
     h_x = g_ne | ((x == 0) & (w == 0)) | ((x < 0) & (w > 0) & (w + x >= 0))
     h = np.where(h_x, x, -w)
-    return g, h
-
-
-def gh_inverse(g: float, h: float, params: ModelParams) -> tuple[float, float]:
-    """Invert :func:`gh_transform`.
-
-    Raises ValueError when (g, h) lies outside the image of the valid
-    (w, x) half-plane, i.e. when h > g/b for g >= 0 or h > -g/a for g < 0.
-    """
-    a, b = params.a, params.b
-    # bounds compared as products: a quotient can round below an h that the
-    # forward map produced exactly on the image boundary
-    if g >= 0:
-        if b * h > g:
-            raise ValueError(
-                f"(g={g}, h={h}) outside transform image: requires h <= g/b when g >= 0"
-            )
-        if h >= 0:
-            w = g - b * h
-        else:
-            w = g - h
-        x = h
-    else:
-        if a * h > -g:
-            raise ValueError(
-                f"(g={g}, h={h}) outside transform image: requires h <= -g/a when g < 0"
-            )
-        w = -h
-        x = g + h if h < 0 else g + a * h
-    return float(w), float(x)
+    if g.ndim == 0:
+        return float(g), float(h)
+    return g, h.astype(float, copy=False)

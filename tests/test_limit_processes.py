@@ -66,6 +66,14 @@ def _reference_renewal(c, dt, n_steps, rng):
     return lp._first_crossing(0, dt, g, upper, lower)
 
 
+class TestGridSpec:
+    def test_step_count_must_be_finite(self):
+        with pytest.raises(ValueError, match=r"horizon / grid step must be finite"):
+            GridSpec(1e300, 1e-300)
+        # a huge but finite step count stays valid
+        assert GridSpec(1e300, 1e-7).n_steps > 10**306
+
+
 class TestBlockedRenewal:
     # the renewal extends its path block by block; it must find the crossing
     # of the full-horizon construction, whatever the block sizes
