@@ -9,9 +9,9 @@ The package splits into four modules:
 - ``lob_simulator``: exact event-driven simulation of the scaled book on a
   compiled event kernel, renewal detection, and occupation/martingale
   statistics.
-- ``limit_processes``: two-speed Brownian motion by an occupation-clock
-  time change, excursion decomposition, and the bracketing limit processes
-  with their renewal times.
+- ``limit_processes``: two-speed Brownian motion sampled exactly on a grid
+  as a skew Brownian motion, excursion decomposition, and the bracketing
+  limit processes with their renewal times.
 - ``analytics``: excursion hit-time densities and hit probabilities,
   renewal intensities and direction probability, the characteristic-function
   tables, and the length-measure identity (7.62).

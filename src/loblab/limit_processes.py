@@ -1,19 +1,23 @@
 """Grid constructions of the diffusion-limit objects.
 
-The limiting interior coordinate is a two-speed Brownian motion: a Brownian
-motion run through an occupation-split time change so that its positive and
-negative sides diffuse at different rates.  This module samples that process
-by inverting its occupation clock, decomposes grid paths into excursions,
-overlays the pinned bracketing processes that the outer queues follow, and
-simulates the limit system to its first renewal.
+The limiting interior coordinate X is a two-speed Brownian motion: it
+diffuses at rate ``sigma_plus`` above zero and ``sigma_minus`` below.  Its
+rescaling X / sigma(X) is a skew Brownian motion that starts each excursion
+positive with probability p = sigma_minus / (sigma_plus + sigma_minus) (Walsh
+1978; Lejay 2006), so X = sigma_s * s * |W| for one standard Brownian motion
+W and a sign s drawn afresh whenever W touches zero.  This module samples X
+exactly at the grid points, decomposes grid paths into excursions, overlays
+the pinned bracketing processes that the outer queues follow, and simulates
+the limit system to its first renewal.
 
-The renewal extends one path block by block and stops at the first block
-that holds a crossing.  The interior stream draws the fine normals of the
-time change, as many as the clock needs to cover the block; each bracketing
-side has its own stream and draws one normal per grid step, whatever the
-sign of the interior there.  A value on the path is therefore fixed by its
-grid index, not by the block sizes, and the grid step and horizon only set
-the step and the budget of the search.
+Every grid step draws its standard normals from the caller's generator as
+one row: column 0 is W's step; columns 1 and 2 give the exponential
+E = (z1**2 + z2**2) / 2 that decides whether W touched zero in the step and,
+by its excess over the touch bound, the new sign; columns 3 and 4 are the
+upper and lower overlay normals.  The renewal draws whole rows block by
+block and stops at the first block that holds a crossing, so a value on the
+path is fixed by its grid index, not by the block sizes, and the grid step
+and horizon only set the step and the budget of the search.
 
 All sampling operations are pure functions of their inputs and the supplied
 generator: equal inputs and an equally seeded generator reproduce the same
@@ -210,86 +214,59 @@ class LimitRenewalSample:
         object.__setattr__(self, "g_at_renewal", g)
 
 
-class _TimeChange:
-    """Two-speed values on the output grid via the occupation-split clock.
+class _Interior:
+    """Exact two-speed values on the grid, extended block by block.
 
-    A standard Brownian motion is drawn on a fine auxiliary grid whose step
-    keeps every clock increment at or below a quarter output step; the split
-    clock adds one fine step divided by the squared rate of the side occupied
-    at the step's left endpoint (a value exactly at zero counts toward the
-    negative side).  Both the clock inversion and the read-out of the
-    Brownian path interpolate linearly.  The path is extended on demand:
-    ``read`` first draws fine steps until the clock covers the last requested
-    output point plus one output step, so the values do not depend on how
-    the reads cut the grid.  Draw order: one standard normal per fine step,
-    in time order.
+    W starts at zero.  Step ``i`` adds ``sqrt(dt) * z0`` to W, and W touched
+    zero within the step iff E = (z1**2 + z2**2) / 2, an Exp(1) variable,
+    exceeds 2 * max(W_i * W_{i+1}, 0) / dt: a sign change always touches,
+    and a bridge between same-signed ends touches with probability
+    exp(-2 W_i W_{i+1} / dt).  The excess of E over that bound is again
+    Exp(1), so a touch starts a positive epoch iff the excess exceeds
+    log(1 / p).  The value is ``sigma_s * s * |W|`` for the epoch's sign s.
     """
 
-    def __init__(self, params: TwoSpeedParams, dt: float, rng: np.random.Generator) -> None:
-        hi = max(params.sigma_plus, params.sigma_minus) ** 2
-        lo = min(params.sigma_plus, params.sigma_minus) ** 2
-        self.dt = dt
-        self.rng = rng
-        self.fine_dt = dt * lo / 4.0
-        self.fine_per_clock = hi / self.fine_dt
-        self.sqrt_fine = math.sqrt(self.fine_dt)
-        self.clock_plus = 1.0 / params.sigma_plus**2 * self.fine_dt
-        self.clock_minus = 1.0 / params.sigma_minus**2 * self.fine_dt
-        # fine Brownian values and clock readings from fine index ``first`` on
-        self.first = 0
-        self.b = np.zeros(1)
-        self.theta = np.zeros(1)
+    def __init__(self, params: TwoSpeedParams, dt: float) -> None:
+        self.sigma_plus, self.sigma_minus, self.dt = params.sigma_plus, params.sigma_minus, dt
+        self.log_inv_p = math.log((params.sigma_plus + params.sigma_minus) / params.sigma_minus)
+        self.w = 0.0  # W at the last point covered
+        self.sign = 1.0  # its epoch's sign
 
-    def _draw(self, k: int) -> None:
-        b = self.rng.standard_normal(k)
-        b *= self.sqrt_fine
-        b[0] += self.b[-1]
-        np.add.accumulate(b, out=b)
-        positive = np.empty(k, dtype=bool)
-        positive[0] = self.b[-1] > 0.0
-        np.greater(b[:-1], 0.0, out=positive[1:])
-        theta = np.where(positive, self.clock_plus, self.clock_minus)
-        theta[0] += self.theta[-1]
-        np.add.accumulate(theta, out=theta)
-        self.b = np.concatenate((self.b, b))
-        self.theta = np.concatenate((self.theta, theta))
+    def extend(self, z: np.ndarray) -> np.ndarray:
+        """Values at the last point covered and the ``len(z)`` points after it.
 
-    def read(self, start: int, stop: int) -> np.ndarray:
-        """Values at output indices ``start, ..., stop - 1``.
-
-        A later read may not start before the last index of this one.
+        Row ``i`` of ``z`` holds the step's normals in columns 0 to 2.
         """
-        target = stop * self.dt
-        while self.theta[-1] < target:
-            # one fine step beyond the worst case absorbs the clock's rounding
-            self._draw(int((target - self.theta[-1]) * self.fine_per_clock) + 1)
-        theta_out = self.dt * np.arange(start, stop)
-        s_grid = self.fine_dt * np.arange(self.first, self.first + self.b.size)
-        s_at = np.interp(theta_out, self.theta, s_grid)
-        values = np.interp(s_at, s_grid, self.b)
-        # keep the fine step that brackets the last point read, drop the rest
-        keep = int(self.theta.searchsorted(theta_out[-1], side="right")) - 1
-        self.first += keep
-        self.b = self.b[keep:]
-        self.theta = self.theta[keep:]
-        return values
+        m = z.shape[0]
+        w = np.empty(m + 1)
+        w[0] = self.w
+        np.multiply(z[:, 0], math.sqrt(self.dt), out=w[1:])
+        np.add.accumulate(w, out=w)
+        excess = 0.5 * (z[:, 1] * z[:, 1] + z[:, 2] * z[:, 2])
+        excess -= 2.0 * np.maximum(w[:-1] * w[1:], 0.0) / self.dt
+        # each point takes the sign drawn at the last touch, or the carried one
+        signs = np.empty(m + 1)
+        signs[0] = self.sign
+        signs[1:] = np.where(excess > self.log_inv_p, 1.0, -1.0)
+        last = np.zeros(m + 1, dtype=np.intp)
+        last[1:] = np.where(excess > 0.0, np.arange(1, m + 1), 0)
+        np.maximum.accumulate(last, out=last)
+        signs = signs[last]
+        self.w, self.sign = w[-1], signs[-1]
+        return np.abs(w) * np.where(signs > 0.0, self.sigma_plus, -self.sigma_minus)
 
 
 def sample_two_speed_timechange(
     params: TwoSpeedParams, grid: GridSpec, rng: np.random.Generator
 ) -> GridPath:
-    """Sample a two-speed Brownian motion by inverting its occupation clock.
+    """Sample a two-speed Brownian motion exactly at the grid points.
 
-    The path diffuses with variance rate ``sigma_plus**2`` above zero and
-    ``sigma_minus**2`` below.  Requires the grid step to be small next to the
-    horizon measured in the faster squared rate.  Draw order: one standard
-    normal per fine auxiliary step, as many steps as the clock needs to cover
-    the span plus one grid step.
+    The path starts at zero and diffuses with variance rate
+    ``sigma_plus**2`` above zero and ``sigma_minus**2`` below, at any grid
+    step.  Draw order: ``rng.standard_normal((n_steps, 3))``, one row per
+    grid step (W's step, then the two normals of the touch exponential).
     """
-    hi = max(params.sigma_plus, params.sigma_minus) ** 2
-    if grid.dt * hi > grid.span / 4.0:
-        raise ValueError("grid step too coarse for the requested horizon")
-    values = _TimeChange(params, grid.dt, rng).read(0, grid.n_steps + 1)
+    values = _Interior(params, grid.dt).extend(rng.standard_normal((grid.n_steps, 3)))
     return GridPath(0.0, grid.dt, values)
 
 
@@ -302,28 +279,22 @@ def default_zero_tol(dt: float) -> float:
     return math.sqrt(dt) / 10.0
 
 
-def decompose_excursions(
-    path: GridPath, min_length: float, zero_tol: float | None = None
-) -> ExcursionList:
+def decompose_excursions(path: GridPath, min_length: float) -> ExcursionList:
     """List the maximal sign-constant stretches of a path.
 
-    Values within ``zero_tol`` of zero count as zero and separate stretches;
-    a sign change without an intervening zero value splits them as well.  An
-    entry's endpoints are the indices just outside its stretch (clipped at
-    the window edges), and only entries spanning at least ``min_length`` of
-    grid time are kept, so ``min_length`` must cover two grid steps.
+    Values within ``default_zero_tol(dt)`` of zero count as zero and separate
+    stretches; a sign change without an intervening zero value splits them as
+    well.  An entry's endpoints are the indices just outside its stretch
+    (clipped at the window edges), and only entries spanning at least
+    ``min_length`` of grid time are kept, so ``min_length`` must cover two
+    grid steps.
     """
     dt = path.dt
     min_length = float(min_length)
     if not math.isfinite(min_length) or min_length < 2.0 * dt:
         raise ValueError("minimum length must cover at least two grid steps")
-    if zero_tol is None:
-        zero_tol = default_zero_tol(dt)
-    zero_tol = float(zero_tol)
-    if not (math.isfinite(zero_tol) and zero_tol >= 0.0):
-        raise ValueError("zero tolerance must be nonnegative and finite")
     values = path.values
-    sgn = np.where(np.abs(values) < zero_tol, 0, np.sign(values)).astype(np.int64)
+    sgn = np.where(np.abs(values) < default_zero_tol(dt), 0, np.sign(values)).astype(np.int64)
     nonzero = sgn != 0
     change = sgn[1:] != sgn[:-1]
     starts = np.flatnonzero(nonzero & np.concatenate([[True], change]))
@@ -345,23 +316,25 @@ class _Side:
     the zero band ``default_zero_tol(dt)``.  There the process is ``kappa +
     beta * S + alpha * g``, where ``S`` sums the side's normals over the steps
     since the excursion's left end; elsewhere it is ``kappa``.  The side
-    draws one standard normal per grid step, so step ``i`` uses its ``i``-th
+    takes one standard normal per grid step, so step ``i`` uses its ``i``-th
     normal whatever the blocks are.
     """
 
-    def __init__(self, kappa: float, beta: float, alpha: float, sign: int, tol: float,
-                 rng: np.random.Generator) -> None:
+    def __init__(self, kappa: float, beta: float, alpha: float, sign: int, tol: float) -> None:
         self.kappa, self.beta, self.alpha = kappa, beta, alpha
-        self.sign, self.tol, self.rng = sign, tol, rng
+        self.sign, self.tol = sign, tol
         self.value = kappa  # at the last point covered
-        self.total = 0.0  # sum of every normal drawn so far
+        self.total = 0.0  # sum of every normal taken so far
         self.base = 0.0  # ``total`` at the last point off an excursion
 
-    def extend(self, g: np.ndarray) -> np.ndarray:
-        """Values at the points of ``g``, whose first point is the last one covered."""
+    def extend(self, g: np.ndarray, normals: np.ndarray) -> np.ndarray:
+        """Values at the points of ``g``, whose first point is the last one covered.
+
+        ``normals`` holds one standard normal per step of ``g``.
+        """
         z = np.empty(g.size)
         z[0] = self.total
-        z[1:] = self.rng.standard_normal(g.size - 1)
+        z[1:] = normals
         totals = np.add.accumulate(z)
         on = self.sign * g >= self.tol
         # each point's base is the running total at the last point off an
@@ -379,16 +352,15 @@ class _Side:
         return values
 
 
-def _bracketing_sides(params: DerivedConstants, dt: float, streams) -> tuple[_Side, _Side]:
+def _bracketing_sides(params: DerivedConstants, dt: float) -> tuple[_Side, _Side]:
     """The upper side over negative excursions and the lower one over positive ones."""
     tol = default_zero_tol(dt)
     sqdt = math.sqrt(dt)
     noise_scale = math.sqrt(1.0 - params.rho**2)
-    upper_rng, lower_rng = streams
     upper = _Side(params.kappa_L, noise_scale * params.sigma_plus * sqdt, params.alpha_minus,
-                  -1, tol, upper_rng)
+                  -1, tol)
     lower = _Side(params.kappa_R, noise_scale * params.sigma_minus * sqdt, params.alpha_plus,
-                  1, tol, lower_rng)
+                  1, tol)
     return upper, lower
 
 
@@ -405,12 +377,13 @@ def build_bracketing_limits(
     with variance rate ``(1 - rho**2) * sigma_minus**2`` and slope
     ``alpha_plus``.  The excursions are those of ``decompose_excursions`` with
     its default zero band; the first and last points are window edges and
-    stay pinned.  Draw order: ``rng`` spawns two streams, upper then lower,
-    and each draws one standard normal per grid step.
+    stay pinned.  Draw order: ``rng.standard_normal((len(gstar) - 1, 2))``,
+    one row per grid step, upper normal then lower normal.
     """
-    upper_side, lower_side = _bracketing_sides(params, gstar.dt, rng.spawn(2))
-    upper = upper_side.extend(gstar.values)
-    lower = lower_side.extend(gstar.values)
+    z = rng.standard_normal((len(gstar) - 1, 2))
+    upper_side, lower_side = _bracketing_sides(params, gstar.dt)
+    upper = upper_side.extend(gstar.values, z[:, 0])
+    lower = lower_side.extend(gstar.values, z[:, 1])
     upper[-1] = params.kappa_L
     lower[-1] = params.kappa_R
     return GridPath(gstar.t0, gstar.dt, upper), GridPath(gstar.t0, gstar.dt, lower)
@@ -458,18 +431,16 @@ def simulate_renewal_limit(
 ) -> LimitRenewalSample:
     """Run the limit system to the first time a bracketing process hits zero.
 
-    The interior coordinate is sampled through the occupation-split clock
-    with the rates in ``params`` and the bracketing processes are overlaid on
-    it, block by block: the first block holds ``_FIRST_BLOCK`` grid steps and
+    The interior coordinate is sampled exactly at the grid points with the
+    rates in ``params`` and the bracketing processes are overlaid on it,
+    block by block: the first block holds ``_FIRST_BLOCK`` grid steps and
     each later one twice as many as the one before.  The search stops at the
     first block in which a process reaches zero, and that step is refined by
     linear interpolation.  The grid sets the step and the budget: after
     ``grid.n_steps << 12`` steps without a hit the search stops with an
     error.  The grid step must resolve the pinning levels in the squared
-    rates.  Draw order: ``rng`` spawns the interior stream and the
-    overlay root; the interior stream draws one standard normal per fine
-    step of the time change, and the overlay root spawns the upper and the
-    lower stream, each drawing one standard normal per grid step.  The
+    rates.  Draw order: ``rng.standard_normal((m, 5))`` per block of ``m``
+    steps, one row per step laid out as in the module docstring.  The
     result does not depend on the block sizes.
     """
     scale = min(
@@ -478,20 +449,17 @@ def simulate_renewal_limit(
     )
     if grid.dt > scale / 8.0:
         raise ValueError("grid step too coarse to resolve the pinned crossings")
-    two_speed = TwoSpeedParams(sigma_plus=params.sigma_plus, sigma_minus=params.sigma_minus)
-    # the children of rng.spawn(2), without a generator on the overlay root
-    bit_generator = type(rng.bit_generator)
-    interior_seq, overlay_seq = rng.bit_generator.seed_seq.spawn(2)
-    interior = _TimeChange(two_speed, grid.dt, np.random.Generator(bit_generator(interior_seq)))
-    streams = [np.random.Generator(bit_generator(seq)) for seq in overlay_seq.spawn(2)]
-    upper, lower = _bracketing_sides(params, grid.dt, streams)
+    interior = _Interior(TwoSpeedParams(params.sigma_plus, params.sigma_minus), grid.dt)
+    upper, lower = _bracketing_sides(params, grid.dt)
     budget = grid.n_steps << _BUDGET_DOUBLINGS
     done = 0
     block = _FIRST_BLOCK
     while done < budget:
         m = min(block, budget - done)
-        g = interior.read(done, done + m + 1)
-        hit = _first_crossing(done, grid.dt, g, upper.extend(g), lower.extend(g))
+        z = rng.standard_normal((m, 5))
+        g = interior.extend(z)
+        hit = _first_crossing(done, grid.dt, g, upper.extend(g, z[:, 3]),
+                              lower.extend(g, z[:, 4]))
         if hit is not None:
             return LimitRenewalSample(*hit)
         done += m

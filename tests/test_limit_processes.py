@@ -16,39 +16,36 @@ from loblab import (
     decompose_excursions,
     derive_constants,
     path_stream,
+    renewal_down_prob,
     sample_two_speed_timechange,
     simulate_renewal_limit,
 )
 
 
+def _exact_interior(params, dt, z):
+    # the whole horizon at once: W by one cumsum, then each touch's sign
+    # written over every point after it, until a later touch overwrites it
+    w = np.concatenate(([0.0], np.cumsum(z[:, 0] * math.sqrt(dt))))
+    e = 0.5 * (z[:, 1] * z[:, 1] + z[:, 2] * z[:, 2])
+    bound = 2.0 * np.maximum(w[:-1] * w[1:], 0.0) / dt
+    log_inv_p = math.log((params.sigma_plus + params.sigma_minus) / params.sigma_minus)
+    signs = np.ones(w.size)
+    for i in np.flatnonzero(e > bound):
+        signs[i + 1 :] = 1.0 if e[i] - bound[i] > log_inv_p else -1.0
+    return np.abs(w) * np.where(signs > 0.0, params.sigma_plus, -params.sigma_minus)
+
+
 def _one_shot_time_change(params, n_steps, dt, rng):
-    # the whole horizon at once: enough fine steps for the clock to cover
-    # the span at the slower rate, then both interpolations over all of it
-    hi = max(params.sigma_plus, params.sigma_minus) ** 2
-    lo = min(params.sigma_plus, params.sigma_minus) ** 2
-    fine_dt = dt * lo / 4.0
-    n_fine = int(math.ceil(n_steps * dt * hi / fine_dt - 1e-9))
-    b = np.empty(n_fine + 1)
-    b[0] = 0.0
-    np.cumsum(rng.standard_normal(n_fine) * math.sqrt(fine_dt), out=b[1:])
-    rate = np.where(b[:-1] > 0.0, 1.0 / params.sigma_plus**2, 1.0 / params.sigma_minus**2)
-    theta = np.empty(n_fine + 1)
-    theta[0] = 0.0
-    np.cumsum(rate * fine_dt, out=theta[1:])
-    s_grid = fine_dt * np.arange(n_fine + 1)
-    s_at = np.interp(dt * np.arange(n_steps + 1), theta, s_grid)
-    return np.interp(s_at, s_grid, b)
+    return _exact_interior(params, dt, rng.standard_normal((n_steps, 3)))
 
 
 def _reference_renewal(c, dt, n_steps, rng):
-    # full-horizon renewal: the one-shot time change, full-length side
-    # streams, the overlay written stretch by stretch over the excursions
-    interior_rng, overlay_root = rng.spawn(2)
-    upper_rng, lower_rng = overlay_root.spawn(2)
-    two_speed = TwoSpeedParams(c.sigma_plus, c.sigma_minus)
-    g = _one_shot_time_change(two_speed, n_steps, dt, interior_rng)
-    z_upper = upper_rng.standard_normal(n_steps)
-    z_lower = lower_rng.standard_normal(n_steps)
+    # full-horizon renewal: the whole interior at once, full-length side
+    # normals, the overlay written stretch by stretch over the excursions
+    z = rng.standard_normal((n_steps, 5))
+    g = _exact_interior(TwoSpeedParams(c.sigma_plus, c.sigma_minus), dt, z)
+    z_upper = z[:, 3]
+    z_lower = z[:, 4]
     noise_scale = math.sqrt(1.0 - c.rho**2)
     beta_upper = noise_scale * c.sigma_plus * math.sqrt(dt)
     beta_lower = noise_scale * c.sigma_minus * math.sqrt(dt)
@@ -106,17 +103,20 @@ class TestBlockedRenewal:
             simulate_renewal_limit(c, GridSpec(5e-3, 1e-3), path_stream(13, 0))
 
     def test_time_change_reads_in_blocks(self):
-        # one read and reads cut at 37, 237 and 737 give the one-shot values;
-        # the one-shot's last point may clamp at the edge of its fine grid
+        # one extension and extensions cut at 37, 237 and 737 give the
+        # one-shot values at every point, and so does the public sampler
         params = TwoSpeedParams(1.0, 2.0)
         for i in range(20):
             reference = _one_shot_time_change(params, 1000, 1e-3, path_stream(17, i))
-            whole = lp._TimeChange(params, 1e-3, path_stream(17, i)).read(0, 1001)
-            blocks = lp._TimeChange(params, 1e-3, path_stream(17, i))
-            cut = [blocks.read(a, b + 1) for a, b in ((0, 37), (37, 237), (237, 737), (737, 1000))]
+            z = path_stream(17, i).standard_normal((1000, 3))
+            whole = lp._Interior(params, 1e-3).extend(z)
+            blocks = lp._Interior(params, 1e-3)
+            cut = [blocks.extend(z[a:b]) for a, b in ((0, 37), (37, 237), (237, 737), (737, 1000))]
             pieces = np.concatenate([cut[0]] + [piece[1:] for piece in cut[1:]])
+            sampled = sample_two_speed_timechange(params, GridSpec(1.0, 1e-3), path_stream(17, i))
             assert np.array_equal(whole, pieces)
-            assert np.array_equal(whole[:-1], reference[:-1])
+            assert np.array_equal(whole, reference)
+            assert np.array_equal(sampled.values, reference)
 
 
 class TestRenewalReplay:
@@ -133,20 +133,48 @@ class TestRenewalReplay:
             assert a == b
 
 
+class TestGenerators:
+    def test_samplers_accept_a_generator_that_cannot_spawn(self):
+        # a bit generator built from a key has no seed sequence to spawn from
+        rng = np.random.Generator(np.random.Philox(key=1))
+        c = derive_constants(ModelParams(theta_b=2.0))
+        grid = GridSpec(1.0, 1e-3)
+        gstar = sample_two_speed_timechange(TwoSpeedParams(1.0, 2.0), grid, rng)
+        upper, lower = build_bracketing_limits(gstar, c, rng)
+        assert len(upper) == len(lower) == len(gstar) == grid.n_steps + 1
+        assert isinstance(simulate_renewal_limit(c, grid, rng), LimitRenewalSample)
+
+
+class TestAgreesWithAnalytics:
+    # the limit_renewal gate's band: 4 binomial SE plus the grid's bias
+    # allowance, restated from LIMIT_GRID_ALLOWANCE in perfbench/workloads.py
+    LIMIT_GRID_ALLOWANCE, RENEWALS = 0.02, 4000
+
+    def test_down_fraction(self):
+        c = derive_constants(ModelParams(theta_b=2.0))
+        grid = GridSpec(1.0, 1e-3)
+        down = sum(simulate_renewal_limit(c, grid, path_stream(29, i)).direction == "down"
+                   for i in range(self.RENEWALS))
+        p = renewal_down_prob(c)
+        se = math.sqrt(p * (1.0 - p) / self.RENEWALS)
+        assert abs(down / self.RENEWALS - p) <= 4.0 * se + self.LIMIT_GRID_ALLOWANCE
+
+
 class TestPinnedStreams:
-    # exact values on fixed streams, so neither the interior time change nor
+    # exact values on fixed streams, so neither the interior sampler nor
     # the renewal it feeds can move unnoticed
 
     def test_renewal_samples(self):
         c = derive_constants(ModelParams(theta_b=2.0))
         grid = GridSpec(1.0, 1e-3)
-        # 5 and 7 cross past the 1.0 horizon, in the fifth and third block
+        # 0 and 15 cross in the second block; 7 and 42 cross past the 1.0
+        # horizon, in the third and fourth block
         expected = {
-            0: LimitRenewalSample("up", 0.10897520858713615, 0.840438355052433),
-            3: LimitRenewalSample("up", 0.07367719630161698, 0.19507624063555357),
-            4: LimitRenewalSample("up", 0.2639198490782586, 0.36086400693300763),
-            5: LimitRenewalSample("up", 4.741642288025958, 1.002818213456),
-            7: LimitRenewalSample("down", 1.1330272704381998, -2.0811364398407903),
+            0: LimitRenewalSample("down", 0.2776132063960804, -0.5293464927957507),
+            7: LimitRenewalSample("down", 1.0209462810962038, -3.677100688391355),
+            11: LimitRenewalSample("up", 0.2027090309148921, 0.5084106993746704),
+            15: LimitRenewalSample("up", 0.5806703050519533, 1.167588277617054),
+            42: LimitRenewalSample("down", 1.9717629179107679, -0.22727721956380892),
         }
         for i, sample in expected.items():
             assert simulate_renewal_limit(c, grid, path_stream(5, i)) == sample
@@ -155,7 +183,7 @@ class TestPinnedStreams:
         x = sample_two_speed_timechange(TwoSpeedParams(1.0, 2.0), GridSpec(1.0, 1e-3),
                                         path_stream(3, 0))
         assert x.values[-3:].tolist() == [
-            1.394424544881936, 1.4013033486517834, 1.4010869147786773
+            -1.1843683584168874, -1.2280920439375083, -1.3193395755355046
         ]
 
 
@@ -164,12 +192,12 @@ class TestTimeChangeLaw:
     # rates s+^2 above zero and s-^2 below sits above zero with probability
     # s- / (s+ + s-) at every time T > 0, is a martingale started at zero,
     # and so has E X_T = 0 and E X_T^2 = T (s+^2 p + s-^2 (1 - p))
-    SIGMA_PLUS, SIGMA_MINUS, PATHS = 1.0, 2.0, 4000
+    SIGMA_PLUS, SIGMA_MINUS, PATHS, DT = 1.0, 2.0, 4000, 1e-2
 
     @pytest.fixture(scope="class")
     def endpoints(self):
         params = TwoSpeedParams(self.SIGMA_PLUS, self.SIGMA_MINUS)
-        grid = GridSpec(1.0, 1e-2)
+        grid = GridSpec(1.0, self.DT)
         return np.array([
             sample_two_speed_timechange(params, grid, path_stream(3, i)).values[-1]
             for i in range(self.PATHS)
@@ -191,41 +219,39 @@ class TestTimeChangeLaw:
         se = squares.std(ddof=1) / math.sqrt(self.PATHS)
         assert abs(squares.mean() - expected) <= 4.0 * se
 
-    def test_rejects_coarse_grid(self):
-        # dt * max(s+, s-)^2 = 0.04 exceeds a quarter of the 0.1 horizon
-        with pytest.raises(ValueError, match="grid step too coarse for the requested horizon"):
-            sample_two_speed_timechange(TwoSpeedParams(1.0, 2.0), GridSpec(0.1, 0.01),
-                                        path_stream(0))
+
+
+class TestTimeChangeLawCoarseGrid(TestTimeChangeLaw):
+    # the sampler is exact at the grid points, so the law holds at any step
+    DT = 0.5
 
 
 class TestDecomposeExcursions:
+    # at dt = 0.1 the zero band is sqrt(0.1) / 10 = 0.0316
+
     def test_zero_band_separates_stretches(self):
-        # 0.01 lies inside the 0.05 band and splits the positive run in two
+        # 0.01 lies inside the band and splits the positive run in two
         path = GridPath(0.0, 0.1, [0.0, 1.0, 2.0, 0.01, 2.0, 1.0, 0.0])
-        assert decompose_excursions(path, 0.2, zero_tol=0.05).entries == ((0, 3, 1), (3, 6, 1))
-        assert decompose_excursions(path, 0.2, zero_tol=0.0).entries == ((0, 6, 1),)
+        assert decompose_excursions(path, 0.2).entries == ((0, 3, 1), (3, 6, 1))
 
     def test_endpoints_clip_at_window_edges(self):
         path = GridPath(0.0, 0.1, [-1.0, -2.0, 0.0, 1.0, 2.0])
-        assert decompose_excursions(path, 0.2, zero_tol=0.0).entries == ((0, 2, -1), (2, 4, 1))
+        assert decompose_excursions(path, 0.2).entries == ((0, 2, -1), (2, 4, 1))
 
     def test_hard_sign_flip_splits(self):
         path = GridPath(0.0, 0.1, [1.0, 2.0, 3.0, -1.0, -2.0, -3.0])
-        assert decompose_excursions(path, 0.2, zero_tol=0.0).entries == ((0, 3, 1), (2, 5, -1))
+        assert decompose_excursions(path, 0.2).entries == ((0, 3, 1), (2, 5, -1))
 
     def test_min_length_drops_short_stretches(self):
         path = GridPath(0.0, 0.1, [0.0, 1.0, 0.0, -1.0, -2.0, 0.0])
-        assert decompose_excursions(path, 0.2, zero_tol=0.0).entries == ((0, 2, 1), (2, 5, -1))
-        assert decompose_excursions(path, 0.3, zero_tol=0.0).entries == ((2, 5, -1),)
+        assert decompose_excursions(path, 0.2).entries == ((0, 2, 1), (2, 5, -1))
+        assert decompose_excursions(path, 0.3).entries == ((2, 5, -1),)
 
-    @pytest.mark.parametrize(
-        "min_length, zero_tol",
-        [(0.19, None), (math.nan, None), (0.2, -1e-3), (0.2, math.inf), (0.2, math.nan)],
-    )
-    def test_rejects_bad_arguments(self, min_length, zero_tol):
+    @pytest.mark.parametrize("min_length", [0.19, math.nan])
+    def test_rejects_bad_arguments(self, min_length):
         path = GridPath(0.0, 0.1, _VALUES)
         with pytest.raises(ValueError):
-            decompose_excursions(path, min_length, zero_tol)
+            decompose_excursions(path, min_length)
 
 
 class TestBracketingLimits:
@@ -310,7 +336,8 @@ class TestExcursionList:
         excursions = ExcursionList(path, entries)
         assert excursions.entries == entries
         assert np.array_equal(excursions.lengths, [1.5, 1.5, 1.0])
-        assert decompose_excursions(path, 1.0, zero_tol=1e-12).entries == entries
+        # the zero band at dt = 0.5 is 0.0707, so the zeros are the only endpoints
+        assert decompose_excursions(path, 1.0).entries == entries
 
     @pytest.mark.parametrize(
         "entries",
