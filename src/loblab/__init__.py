@@ -15,6 +15,9 @@ The package splits into four modules:
 - ``analytics``: excursion hit-time densities and hit probabilities,
   renewal intensities and direction probability, the characteristic-function
   tables, and the length-measure identity (7.62).
+
+Only ``analytics`` uses scipy, and it imports scipy inside the functions
+that call it, so the first three modules load and run without it.
 """
 
 from . import model_params, lob_simulator, limit_processes, analytics

@@ -6,14 +6,14 @@ extension lives in a cache directory next to this file, named after a hash
 of everything that shapes the binary: the C source, the declarations, the
 compiler flags, the interpreter's extension suffix and the numpy and cffi
 versions.  A cache hit loads the extension with ``importlib`` alone and
-imports neither ``cffi.FFI`` nor ``setuptools``.  A miss compiles in a
-fresh interpreter, which runs this file as a script, so the build tools
-never load into the importing process nor raise its peak memory.  It
-builds in a temporary directory inside the cache and moves the result into
-place with ``os.replace``, so concurrent interpreters never load a partial
-file.  After a build, the cache's other builds for the same extension
-suffix are removed, so an edit of the source or an upgrade of numpy or cffi
-does not leave the old extension behind.
+imports none of ``cffi.FFI``, ``setuptools`` and ``subprocess``.  A miss
+compiles in a fresh interpreter, which runs this file as a script, so the
+build tools never load into the importing process nor raise its peak
+memory.  It builds in a temporary directory inside the cache and moves the
+result into place with ``os.replace``, so concurrent interpreters never
+load a partial file.  After a build, the cache's other builds for the same
+extension suffix are removed, so an edit of the source or an upgrade of
+numpy or cffi does not leave the old extension behind.
 
 There is no pure-Python fallback: when the kernel cannot be built, loading
 raises ``KernelBuildError``.
@@ -24,7 +24,6 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import os
-import subprocess
 import sys
 import sysconfig
 import tempfile
@@ -99,6 +98,9 @@ def _cffi_build(name: str, source_path: str, build_dir: str) -> str:
 
 def _compile(name: str, source_path: str, build_dir: str) -> str:
     """Run ``_cffi_build`` in a fresh interpreter; return the built file."""
+    # imported here because only a cache miss runs a build
+    import subprocess
+
     proc = subprocess.run(
         [sys.executable, __file__, name, source_path, build_dir],
         capture_output=True,

@@ -16,6 +16,12 @@ The error targets and truncation rules are fixed constants, not arguments:
 absolute tolerance 1e-10 and relative tolerance 1e-8 for series truncation
 and quadrature, at most 200 Bessel-series terms per point, and excursion
 lengths cut at 1e-4 below and 1e3 above.
+
+scipy is imported inside the functions that call it, not by this module:
+``scipy.special`` on the first Bessel, Fresnel or exponential-integral
+evaluation and ``scipy.integrate`` only in ``identity_7_62``.  Importing
+the package and running the book and limit layers therefore never loads
+scipy.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ import functools
 import math
 
 import numpy as np
-from scipy import integrate, special
 
 __all__ = [
     "p_vstar_density",
@@ -109,6 +114,8 @@ def _inner_edges(lo, ell, n_lead=14, n_tail=6):
 def _legendre_moments(c):
     """Oscillatory panel moments: integral of P_k(x) e^{i c x} over [-1, 1]
     for k below the panel order, elementwise over c."""
+    from scipy import special
+
     c = np.asarray(c, dtype=float)
     J = special.spherical_jn(np.arange(_GL_ORDER), np.abs(c)[..., None])
     mom = 2.0 * (1j ** np.arange(_GL_ORDER)) * J
@@ -134,6 +141,8 @@ def _osc_power_tail(alpha, L):
     """Closed form of integral_L^inf e^{i alpha ell} (2 pi ell^3)^{-1/2} d ell."""
     if alpha == 0.0:
         return complex(math.sqrt(2.0 / math.pi) / math.sqrt(L))
+    from scipy import special
+
     a = abs(alpha)
     y = math.sqrt(2.0 * a * L / math.pi)
     S, C = special.fresnel(y)
@@ -163,6 +172,8 @@ def _wedge_sum_scaled(z, w, nu_step):
     with.  Returns (values, converged), converged being False when any
     point reached the cap first.
     """
+    from scipy import special
+
     z = np.asarray(z, dtype=float)
     w = np.asarray(w, dtype=float)
     shape = np.broadcast_shapes(z.shape, w.shape)
@@ -340,6 +351,8 @@ class _CfSide:
                  "ptot_far", "lam_tab", "tail_bias", "ok")
 
     def __init__(self, kappa, st2, weight, rho):
+        from scipy import special
+
         lmin, lmax = _TAIL_CUT
         self.weight = weight
         ok = True
@@ -469,6 +482,8 @@ def identity_7_62(alpha_arg):
     Returns (numeric, closed).  The numeric side substitutes ell = u^2 and
     finishes the oscillatory tail in closed form.
     """
+    from scipy import integrate
+
     alpha_arg = float(alpha_arg)
     if alpha_arg == 0.0 or not math.isfinite(alpha_arg):
         raise ValueError("argument must be finite and nonzero")

@@ -1,6 +1,7 @@
 import functools
 import math
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -896,6 +897,17 @@ class TestPinnedStreams:
         cfg = SimConfig(n=10**4, horizon=100.0, seed=401, initial_scaled_state=start)
         record = run_until_renewal(cfg, c, 0)
         assert (record.direction, record.s_hat) == ("down", 0.508502158752042)
+
+    def test_pinned_start_horizon_miss_is_a_late_renewal(self):
+        # one of the benchmark's rare failed operations: the path is not
+        # stuck, it renews just past the horizon of 100
+        c = derive_constants(ModelParams(theta_b=2.0))
+        start = (0.75, c.kappa_L, 0.0, 0.0, c.kappa_R, -0.75)
+        cfg = SimConfig(n=10**4, horizon=100.0, seed=1, initial_scaled_state=start)
+        with pytest.raises(HorizonExceededError):
+            run_until_renewal(cfg, c, 65_355)
+        record = run_until_renewal(replace(cfg, horizon=200.0), c, 65_355)
+        assert (record.direction, record.s_hat) == ("down", 106.64241600649684)
 
     def test_scaled_path_final_row(self):
         c = derive_constants(ModelParams(theta_b=2.0))
