@@ -21,11 +21,13 @@ from loblab.analytics import (
     FLAG_SERIES_CAP,
     FLAG_TAIL,
     _ABS_TOL,
+    _TABLE_Z,
     _TAIL_CUT,
     _cf_side,
     _cf_table,
     _inner_edges,
     _legendre_moments,
+    _wedge_sum,
     _wedge_sum_scaled,
 )
 
@@ -93,6 +95,76 @@ class TestWedgeSeries:
         _, ok_both = _wedge_sum_scaled(z, w, self.NU_STEP)
         assert ok_small
         assert not ok_both
+
+
+class TestWedgeTable:
+    # order steps from below the admissible range (every model has rho < 0,
+    # so its step exceeds one) to a narrow wedge, the benchmark's two in
+    # between
+    NU_STEPS = (0.55, 1.0, 1.545, 1.632, 3.0, 8.0)
+    NU_STEP = TestWedgeSeries.NU_STEP
+    LO, HI = _TABLE_Z
+    # points below the table's range, then log-spaced over it
+    Z = np.concatenate([np.geomspace(1e-22, LO, 40, endpoint=False),
+                        np.geomspace(LO, HI, 4000)])
+
+    @pytest.mark.parametrize("nu", NU_STEPS)
+    def test_agrees_with_exact_series(self, nu):
+        table, ok = _wedge_sum(self.Z, self.Z, nu)
+        exact, ok_exact = _wedge_sum_scaled(self.Z, self.Z, nu)
+        assert ok and ok_exact
+        # the exact series stops once its terms fall under _ABS_TOL, so at
+        # small steps and large z it carries a truncation error of its own,
+        # measured here against all 400 orders; the table's nodes carry the
+        # same kind, so the two may differ by a few times that
+        ns = np.arange(1, 401, dtype=float)
+        coef = np.where(ns % 2 == 1, 1.0, -1.0) * ns * ns
+        full = (coef[:, None] * special.ive(ns[:, None] * nu, self.Z)).sum(axis=0)
+        truncation = np.max(np.abs(exact - full))
+        tol = 1e-14 * (1.0 + np.abs(exact)) + 4.0 * truncation
+        assert np.all(np.abs(table - exact) <= tol)
+
+    @pytest.mark.parametrize("nu", [nu for nu in NU_STEPS if nu >= 1.0])
+    def test_relative_error_near_zero(self, nu):
+        # the clamp below the range included: the neglected terms are
+        # O(z) and O((z/2)^nu), under 1e-16 relative at the range's end
+        z = self.Z[self.Z <= 1.0]
+        table, _ = _wedge_sum(z, z, nu)
+        exact, _ = _wedge_sum_scaled(z, z, nu)
+        assert np.all(exact > 0.0)
+        assert np.all(np.abs(table - exact) <= 1e-13 * exact)
+
+    def test_above_range_is_the_exact_series(self):
+        z = np.array([self.HI * 1.0001, 75.0, 480.0, 500.0])
+        w = np.array([self.HI * 1.0001, 80.0, 520.0, 500.0])
+        table, ok = _wedge_sum(z, w, self.NU_STEP)
+        exact, ok_exact = _wedge_sum_scaled(z, w, self.NU_STEP)
+        assert ok and ok_exact
+        assert np.array_equal(table, exact)
+
+    def test_batch_equals_points_alone(self):
+        # below, inside and above the range, damped and undamped
+        z = np.array([1e-20, 1e-3, 0.7, 12.0, self.HI, 75.0, 0.7, 300.0])
+        w = np.array([1e-20, 1e-3, 0.9, 12.0, self.HI, 80.0, 40.0, 1100.0])
+        vals, ok = _wedge_sum(z, w, self.NU_STEP)
+        assert ok
+        for i in range(z.size):
+            alone, ok_i = _wedge_sum(z[i:i + 1], w[i:i + 1], self.NU_STEP)
+            assert ok_i
+            assert alone[0] == vals[i]
+
+    def test_cap_is_per_panel(self, series_cap):
+        # under a cap of 6 the nodes near z = 1e-3 converge and those near
+        # z = 30 do not; above the range the exact series reports its own
+        series_cap(6)
+        _, ok_small = _wedge_sum(np.array([1e-3]), np.array([1e-3]), self.NU_STEP)
+        _, ok_mid = _wedge_sum(np.array([1e-3, 30.0]), np.array([1e-3, 30.0]),
+                               self.NU_STEP)
+        _, ok_far = _wedge_sum(np.array([1e-3, 500.0]), np.array([1e-3, 500.0]),
+                               self.NU_STEP)
+        assert ok_small
+        assert not ok_mid
+        assert not ok_far
 
 
 class TestPanelTables:
@@ -328,6 +400,28 @@ class TestRenewalCf:
         for ell in (0.5, 4.0):
             assert abs(p_vstar_total(ell, c) - p_ystar_total(ell, cm)) <= 1e-12
             assert abs(p_ystar_total(ell, c) - p_vstar_total(ell, cm)) <= 1e-12
+
+    @pytest.mark.parametrize("model", ["default", "mirror_model", "mirror"])
+    def test_shared_kernels_match_per_side_calls(self, constants, mirror_pair,
+                                                 model):
+        # renewal_cf computes the length-grid kernel once for both sides and
+        # a symmetric model's transforms once; per-side calls give the same
+        # bits
+        c = {"default": constants, "mirror_model": mirror_pair[0],
+             "mirror": mirror_pair[1]}[model]
+        tab_v, tab_y = _cf_table(c)
+        lam_minus, lam_plus = tab_v.lam_tab, tab_y.lam_tab
+        total = lam_minus + lam_plus
+        for alpha in (0.05, -0.7, 3.3, 49.0):
+            n_v, n_y = tab_v.numerator(alpha), tab_y.numerator(alpha)
+            d_v = tab_v.denominator_part(alpha)
+            d_y = tab_y.denominator_part(alpha)
+            root = math.sqrt(abs(alpha)) * complex(1.0, -math.copysign(1.0, alpha))
+            denom = d_v + d_y + (tab_v.weight + tab_y.weight) * root
+            expected = ((total / lam_minus) * n_v / denom,
+                        (total / lam_plus) * n_y / denom,
+                        (n_v + n_y) / denom)
+            assert renewal_cf(alpha, c) == expected
 
     def test_flags_and_domain(self, constants):
         flags = []
