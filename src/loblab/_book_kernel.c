@@ -9,6 +9,13 @@
  * Generator.random() would.  Errors are returned as a status; the Python
  * wrapper raises them.
  *
+ * The fixed flow is picked without branches: the scaled uniform goes
+ * through the same five sequential subtractions of the fixed rates, in the
+ * same order, as an early-exit search, and the pick counts the leading
+ * flows whose test fails, so it picks the flow that search picks.
+ * Comparing the uniform with cumulative thresholds instead would pick
+ * another flow at rounding ties on non-dyadic rates (example in classify).
+ *
  * Bit identity with the Python reference rests on IEEE double arithmetic in
  * source order: build with -O2 -ffp-contract=off and never -ffast-math.
  */
@@ -98,9 +105,22 @@ int classify(const int64_t *q, double e, double u, const rates_t *r, event_t *ev
     if (u < r->fixed_total) {
         const int targets[6] = {ask, bid, ask - 1, ask - 2, bid + 1, bid + 2};
         const int deltas[6] = {1, -1, 1, 1, -1, -1};
-        int c = 0;
-        while (c < 5 && !(u < r->fixed[c]))
-            u -= r->fixed[c++];
+        /* branch-free pick: c counts the leading flows whose test fails.
+         * v goes through the same five subtractions, in the same order, as
+         * an early-exit search, so every test that decides c sees the value
+         * that search sees.  Cumulative thresholds (prefix sums of fixed)
+         * are wrong at rounding ties: for ModelParams(a=1.2, b=1.7,
+         * lambda0=2, theta_b=2, theta_s=0.5), u = 5.5317647058823525 equals
+         * the sum of the first four fixed rates, so a threshold test moves
+         * on to flow 4; but after three subtractions v = 1.7199999999999993
+         * lies below fixed[3] = 1.7199999999999998, so the flow is 3. */
+        double v = u;
+        int c = 0, live = 1;
+        for (int k = 0; k < 5; k++) {
+            live &= !(v < r->fixed[k]);
+            c += live;
+            v -= r->fixed[k];
+        }
         set_event(ev, dt, targets[c], deltas[c], region, c);
         return KERNEL_OK;
     }

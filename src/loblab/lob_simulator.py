@@ -25,6 +25,15 @@ exponential, then one standard uniform, exactly the values that
 ``Generator.standard_exponential()`` and ``Generator.random()`` would
 return.  There is no pure-Python fallback; without a C compiler the import
 fails with ``KernelBuildError``.
+
+The kernel picks the fixed flow without branches: it subtracts the fixed
+rates from the scaled uniform one by one in sampling order and counts the
+flows passed before the first whose rate exceeds the remainder (see
+``_book_kernel.c``).  From the pinned start (0.75, kappa_L, 0, 0, kappa_R,
+-0.75) of ``ModelParams(theta_b=2)`` at n = 10^4, a renewal averages
+10,057 events (seed 0, 4,000 paths).  The renewal loop spends about 37 ns
+per event on a quiet 2-core Intel Xeon host (gcc 12.2) and about 51 ns
+when the host is loaded; the two draws take 15 to 30 ns of it.
 """
 
 from __future__ import annotations

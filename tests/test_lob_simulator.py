@@ -1098,3 +1098,113 @@ class TestGeneratorLock:
         assert not worker.is_alive()
         counts = initial_state(SimConfig(n=100))
         assert records == [ref_run_to_renewal(counts, CONSTANTS, 100, 5000.0, path_stream(64, 4))]
+
+
+# ---------------------------------------------------------------------------
+# non-dyadic rates: the benchmark's asym_full model.  The rates of
+# ModelParams(theta_b=...) are dyadic, so on them sequential subtraction and
+# cumulative thresholds pick the same flow for every uniform; these rates
+# are not, and a prefix sum can land on a uniform exactly.
+
+ASYM_FULL = derive_constants(
+    ModelParams(a=1.2, b=1.7, lambda0=2.0, theta_b=2.0, theta_s=0.5)
+)
+
+
+class TestNonDyadicRates:
+    def test_flow_tie_follows_sequential_subtraction(self):
+        # region O with nothing stale, so the total is the fixed total; each
+        # scaled uniform equals a prefix sum of the fixed rates, which a
+        # threshold test would pass on to the next flow, while the remainder
+        # after the sequential subtractions lies just below the flow's rate
+        rt = sim._rate_table(ASYM_FULL, 10**4)
+        fixed, fixed_total, _, _ = rt
+        assert fixed_total == 7.734117647058823
+        book = [0, 2, 0, 0, -2, 0]
+        for uniform, u, category in ((0.7152418618801338, 5.5317647058823525, 3),
+                                     (0.8430179494980226, 6.52, 4)):
+            assert uniform * fixed_total == u == sum(fixed[: category + 1])
+            expected = dict_next_event(
+                dict(enumerate(book)), 0, rt, ScriptRng([uniform], 1.0)
+            )
+            assert expected[4] == category
+            dt, slot, delta, region, flow = classify(book, rt, 1.0, uniform)
+            assert (dt, slot, delta, REGION_ORDER[region], flow) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        region=st.sampled_from(REGION_ORDER),
+        ab=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+        outer=st.tuples(*[st.integers(-6, 6)] * 4),
+        n=st.sampled_from([1, 4, 100, 10000]),
+        exponential=st.floats(1e-3, 20.0),
+        boundary=st.one_of(
+            st.none(),
+            st.tuples(
+                st.sampled_from(["flow", "buy", "sell"]),
+                st.integers(0, 12),
+                st.sampled_from([-1, 0, 1]),
+            ),
+        ),
+        free=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    # the two ties of the test above, reached through the flow edges
+    @example(Region.O, (1, 1), (0, 2, -2, 0), 10000, 1.0, ("flow", 3, 0), 0.0)
+    @example(Region.O, (1, 1), (0, 2, -2, 0), 10000, 1.0, ("flow", 4, 0), 0.0)
+    def test_sampler_matches_dict_book(self, region, ab, outer, n, exponential,
+                                       boundary, free):
+        # as TestSamplerEquivalence, on asym_full's rates: the uniform is
+        # free or on (or one ulp either side of) a flow or pool boundary
+        w, x = _WX[region](*ab)
+        u, v, y, z = outer
+        book = [u, v, w, x, y, z]
+        rt = sim._rate_table(ASYM_FULL, n)
+        fixed, fixed_total, tb, ts = rt
+        bid, ask = _REF_BID_ASK[region]
+        buy_pool = sum(c for i, c in enumerate(book) if c > 0 and i <= bid - 2)
+        sell_pool = -sum(c for i, c in enumerate(book) if c < 0 and i >= ask + 2)
+        total = fixed_total + tb * buy_pool + ts * sell_pool
+        uniform = free
+        if boundary is not None:
+            kind, pick, nudge = boundary
+            edges = {
+                "flow": list(np.cumsum(fixed)),
+                "buy": [fixed_total + tb * k for k in range(buy_pool + 1)],
+                "sell": [
+                    fixed_total + tb * buy_pool + ts * k for k in range(sell_pool + 1)
+                ],
+            }[kind]
+            uniform = edges[pick % len(edges)] / total
+            if nudge:
+                uniform = float(np.nextafter(uniform, 2.0 * nudge))
+            uniform = min(max(uniform, 0.0), float(np.nextafter(1.0, 0.0)))
+        expected = dict_next_event(
+            dict(enumerate(book)), 0, rt, ScriptRng([uniform], exponential)
+        )
+        dt, slot, delta, seen_region, category = classify(book, rt, exponential, uniform)
+        assert (dt, slot, delta, REGION_ORDER[seen_region], category) == expected
+
+    @pytest.mark.parametrize("n", (100, 400))
+    def test_renewals_match_reference(self, n):
+        outcomes = set()
+        for start in _starts(ASYM_FULL, n):
+            counts = initial_state(SimConfig(n=n, initial_scaled_state=start))
+            for horizon in (50.0, 0.02):
+                for k in range(30):
+                    got = _assert_same_renewal(counts, ASYM_FULL, n, n * horizon, 65, k)
+                    outcomes.add(got[0] if isinstance(got, tuple) else got.direction)
+        assert {"up", "down", HorizonExceededError} <= outcomes
+
+    @pytest.mark.parametrize("n", (100, 400))
+    def test_scaled_paths_match_reference(self, n):
+        # a ragged tail and a path through renewals, from both starts
+        for horizon, grid_step in ((0.05, 0.02), (0.3, 0.1)):
+            for start in _starts(ASYM_FULL, n):
+                cfg = SimConfig(n=n, horizon=horizon, seed=66, grid_step=grid_step,
+                                initial_scaled_state=start)
+                for k in range(30):
+                    got = run_scaled_path(cfg, ASYM_FULL, k)
+                    want = ref_run_scaled_path(cfg, ASYM_FULL, path_stream(cfg.seed, k))
+                    for name in ("times", "series", "occupations"):
+                        a, b = getattr(got, name), getattr(want, name)
+                        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
