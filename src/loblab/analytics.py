@@ -27,6 +27,16 @@ for nu in {0.55, 1, 1.545, 1.632, 3, 8}, the table differs by at most
 at nu = 0.55, 6e-13 near nu = 1.6, 4e-15 at nu >= 3), and by at most 7e-14
 relative for z <= 1 when nu >= 1.
 
+The characteristic functions integrate Legendre fits on panels against
+e^{i alpha s} by Filon's rule: one grid of panels over excursion length,
+shared by both bracketing sides, and one over hit time per side.  A
+``renewal_cf`` call evaluates the panel phases and moments once, over the
+panels of every grid laid end to end, in one ``spherical_jn`` call; each
+grid's integral is then summed on its own slice, in the order a kernel on
+that grid alone would use.  Warm, on a 2-core shared x86-64 host, a call
+costs about 0.25-0.4 ms on a symmetric model and 0.35-0.55 ms on an
+asymmetric one, most of it in ``spherical_jn``.
+
 The error targets and truncation rules are fixed constants, not arguments:
 absolute tolerance 1e-10 and relative tolerance 1e-8 for series truncation
 and quadrature, at most 200 Bessel-series terms per point, and excursion
@@ -511,22 +521,6 @@ class _CfSide:
         self.tail_bias = weight * (below + (1.0 - far_total) * tail_mass)
         self.ok = ok
 
-    def numerator(self, alpha):
-        """Transform of the joint hit-time and length law, hit-time axis
-        carrying the oscillation."""
-        kernel = _filon_kernel(self.s_h, self.s_m, alpha)
-        return self.weight * _filon_integral(kernel, self.s_coefs)
-
-    def denominator_part(self, alpha, kernel=None):
-        """Transform of the hit probability against the length measure;
-        ``kernel`` is the length grid's ``_filon_kernel`` at alpha, when the
-        caller already has it."""
-        if kernel is None:
-            kernel = _filon_kernel(self.l_h, self.l_m, alpha)
-        finite = _filon_integral(kernel, self.l_coefs)
-        tail = self.ptot_far * _osc_power_tail(alpha, _TAIL_CUT[1])
-        return self.weight * (finite + tail)
-
 
 _cf_side = functools.lru_cache(maxsize=16)(_CfSide)
 
@@ -562,6 +556,11 @@ def renewal_cf(alpha_arg, params, flags=None):
     Returns three complex values: conditional on a down shift, conditional
     on an up shift, and unconditional.  At zero all three are one by
     normalization and are returned exactly.
+
+    The Filon phases and moments of the length grid and of the hit-time
+    grids are evaluated once per call (74 panels on a symmetric model,
+    102-110 on the benchmark's asymmetric ones).  Warm, a call costs about
+    0.25-0.55 ms on a 2-core shared x86-64 host.
     """
     alpha_arg = float(alpha_arg)
     if not math.isfinite(alpha_arg):
@@ -572,16 +571,28 @@ def renewal_cf(alpha_arg, params, flags=None):
     tab_v, tab_y = _cf_table(params)
     if not (tab_v.ok and tab_y.ok):
         _note(flags, FLAG_SERIES_CAP)
-    # the length grid depends only on _TAIL_CUT, so both sides share its
-    # kernel; a symmetric model's sides are one table
-    l_kernel = _filon_kernel(tab_v.l_h, tab_v.l_m, alpha_arg)
-    n_v = tab_v.numerator(alpha_arg)
-    d_v = tab_v.denominator_part(alpha_arg, l_kernel)
+    # one kernel serves every grid: the length grid, which depends only on
+    # _TAIL_CUT and so is shared by both sides, then each side's hit-time
+    # grid, laid end to end; a symmetric model's sides are one table.  Each
+    # integral sums its own slice, in the order of a kernel on its grid alone
+    sides = (tab_v,) if tab_y is tab_v else (tab_v, tab_y)
+    h_phase, mom = _filon_kernel(
+        np.concatenate([tab_v.l_h] + [t.s_h for t in sides]),
+        np.concatenate([tab_v.l_m] + [t.s_m for t in sides]), alpha_arg)
+
+    def integral(start, coefs):
+        cut = slice(start, start + len(coefs))
+        return _filon_integral((h_phase[cut], mom[cut]), coefs)
+
+    tail = _osc_power_tail(alpha_arg, _TAIL_CUT[1])
+    hit_v = tab_v.l_h.size
+    n_v = tab_v.weight * integral(hit_v, tab_v.s_coefs)
+    d_v = tab_v.weight * (integral(0, tab_v.l_coefs) + tab_v.ptot_far * tail)
     if tab_y is tab_v:
         n_y, d_y = n_v, d_v
     else:
-        n_y = tab_y.numerator(alpha_arg)
-        d_y = tab_y.denominator_part(alpha_arg, l_kernel)
+        n_y = tab_y.weight * integral(hit_v + tab_v.s_h.size, tab_y.s_coefs)
+        d_y = tab_y.weight * (integral(0, tab_y.l_coefs) + tab_y.ptot_far * tail)
     root = math.sqrt(abs(alpha_arg)) * complex(1.0, -math.copysign(1.0, alpha_arg))
     denom = d_v + d_y + (tab_v.weight + tab_y.weight) * root
     if tab_v.tail_bias + tab_y.tail_bias > _REL_TOL * abs(denom):

@@ -25,11 +25,40 @@ from loblab.analytics import (
     _TAIL_CUT,
     _cf_side,
     _cf_table,
+    _filon_integral,
+    _filon_kernel,
     _inner_edges,
     _legendre_moments,
+    _osc_power_tail,
     _wedge_sum,
     _wedge_sum_scaled,
 )
+
+# the benchmark's three analytic models and the mirror image of the last
+SWEEP_MODELS = {
+    "symmetric": ModelParams(),
+    "asym_theta_b": ModelParams(theta_b=2.0),
+    "asym_full": ModelParams(a=1.2, b=1.7, lambda0=2.0, theta_b=2.0, theta_s=0.5),
+    "mirror": ModelParams(a=1.7, b=1.2, lambda0=1.2 * 2.0 / 1.7,
+                          theta_b=0.5, theta_s=2.0),
+}
+
+
+def side_numerator(tab, alpha):
+    """Reference for one side: the transform of the joint hit-time and
+    length law on the side's own hit-time grid, with its own kernel."""
+    kernel = _filon_kernel(tab.s_h, tab.s_m, alpha)
+    return tab.weight * _filon_integral(kernel, tab.s_coefs)
+
+
+def side_denominator_part(tab, alpha):
+    """Reference for one side: the transform of the hit probability
+    against the length measure, with the length grid's own kernel and the
+    side's own tail term."""
+    kernel = _filon_kernel(tab.l_h, tab.l_m, alpha)
+    finite = _filon_integral(kernel, tab.l_coefs)
+    tail = tab.ptot_far * _osc_power_tail(alpha, _TAIL_CUT[1])
+    return tab.weight * (finite + tail)
 
 
 @pytest.fixture(scope="module")
@@ -364,8 +393,8 @@ class TestRenewalCf:
         lmax = _TAIL_CUT[1]
         tab_v, tab_y = _cf_table(constants)
         root = math.sqrt(alpha) * complex(1.0, -1.0)
-        d_tab = (tab_v.denominator_part(alpha)
-                 + tab_y.denominator_part(alpha)
+        d_tab = (side_denominator_part(tab_v, alpha)
+                 + side_denominator_part(tab_y, alpha)
                  + (tab_v.weight + tab_y.weight) * root)
 
         def miss(ell):
@@ -404,18 +433,18 @@ class TestRenewalCf:
     @pytest.mark.parametrize("model", ["default", "mirror_model", "mirror"])
     def test_shared_kernels_match_per_side_calls(self, constants, mirror_pair,
                                                  model):
-        # renewal_cf computes the length-grid kernel once for both sides and
-        # a symmetric model's transforms once; per-side calls give the same
-        # bits
+        # renewal_cf evaluates one kernel over every grid's panels and a
+        # symmetric model's transforms once; per-side references, each with
+        # its own kernel, give the same bits
         c = {"default": constants, "mirror_model": mirror_pair[0],
              "mirror": mirror_pair[1]}[model]
         tab_v, tab_y = _cf_table(c)
         lam_minus, lam_plus = tab_v.lam_tab, tab_y.lam_tab
         total = lam_minus + lam_plus
         for alpha in (0.05, -0.7, 3.3, 49.0):
-            n_v, n_y = tab_v.numerator(alpha), tab_y.numerator(alpha)
-            d_v = tab_v.denominator_part(alpha)
-            d_y = tab_y.denominator_part(alpha)
+            n_v, n_y = side_numerator(tab_v, alpha), side_numerator(tab_y, alpha)
+            d_v = side_denominator_part(tab_v, alpha)
+            d_y = side_denominator_part(tab_y, alpha)
             root = math.sqrt(abs(alpha)) * complex(1.0, -math.copysign(1.0, alpha))
             denom = d_v + d_y + (tab_v.weight + tab_y.weight) * root
             expected = ((total / lam_minus) * n_v / denom,
@@ -429,6 +458,25 @@ class TestRenewalCf:
         assert FLAG_TAIL in flags
         with pytest.raises(ValueError):
             renewal_cf(math.nan, constants)
+
+
+class TestOneMomentEvaluation:
+    @pytest.mark.parametrize("model", list(SWEEP_MODELS))
+    @pytest.mark.parametrize("alpha", [0.7, -3.3])
+    def test_one_spherical_jn_call_per_call(self, monkeypatch, model, alpha):
+        c = derive_constants(SWEEP_MODELS[model])
+        renewal_cf(0.25, c)
+        calls = []
+        original = special.spherical_jn
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(special, "spherical_jn", counted)
+        for repeat in range(3):
+            renewal_cf(alpha, c)
+            assert len(calls) == repeat + 1
 
 
 class TestLengthMeasureIdentity:
