@@ -16,16 +16,23 @@ The wedge series behind every density, sum_n (-1)^(n-1) n^2 I_{n nu}(z)
 e^{-w}, factorizes as exp(z - w) K_nu(z) with K_nu(z) = sum_n (-1)^(n-1)
 n^2 ive(n nu, z), a function of z alone for each wedge angle (order step
 nu).  The first density at a new angle therefore builds a table of
-K_nu(z) / (z/2)^nu in u = log z: 86 panels about 0.5 wide, a degree-20
-Chebyshev interpolant on each, over z in [1e-17, 40], 1,806 nodes filled by
-the exact series and cached per (nu, series cap).  Densities read it by
-Clenshaw's recurrence.  Below z = 1e-17 they take the table's end value,
-exact to rounding for every admissible model (rho < 0, so nu > 1); above
-z = 40 they go to the exact series.  Against the exact series at 4,000 log-spaced z
-for nu in {0.55, 1, 1.545, 1.632, 3, 8}, the table differs by at most
-1e-14 (1 + |K|) plus the exact series' own truncation error (up to 1e-11
-at nu = 0.55, 6e-13 near nu = 1.6, 4e-15 at nu >= 3), and by at most 7e-14
-relative for z <= 1 when nu >= 1.
+K_nu(z) / (z/2)^nu in u = log z: panels about 0.5 wide, a degree-20
+Chebyshev interpolant on each, over z from 1e-17 to a cut z*(nu) =
+max(40, 10 nu^2), filled by the exact series and cached per (nu, series
+cap).  That is 86 panels (1,806 nodes) while nu <= 2, which covers the
+benchmark's models, and more panels of the same width above.  Densities
+read it by Clenshaw's recurrence.  Below z = 1e-17 they take the table's
+end value, exact to rounding for every admissible model (rho < 0, so
+nu > 1); above z*(nu) the series is taken as exactly 0 and never summed.
+There the true |K_nu| is at most 8.5e-16 (at nu = 2; 1.3e-21 at nu =
+1.632, by mpmath at 60 digits) and falls like exp(-z (1 - cos(pi/nu))), so
+the cut moves a density by at most 2e-13 st2 / kappa^2.  Against the exact
+series at 4,000 log-spaced z for nu in {0.55, 1, 1.545, 1.632, 3, 8}, the
+table differs by at most 1e-14 (1 + |K|) plus the exact series' own
+truncation error (up to 1e-11 at nu = 0.55, 6e-13 near nu = 1.6, 4e-15 at
+nu >= 3), and by at most 7e-14 relative for z <= 1 when nu >= 1.  Density
+grids are evaluated in blocks of about 16k points, whose temporaries stay
+in cache; the values do not depend on the blocking.
 
 The characteristic functions integrate Legendre fits on panels against
 e^{i alpha s} by Filon's rule: one grid of panels over excursion length,
@@ -56,6 +63,8 @@ import functools
 import math
 
 import numpy as np
+
+from .model_params import ModelParams
 
 __all__ = [
     "p_vstar_density",
@@ -189,38 +198,49 @@ def _osc_power_tail(alpha, L):
 # Bessel orders per scaled-Bessel call on the points still summing
 _SERIES_BLOCK = 3
 
-# per-order-step table of the series: the z range it covers, its panel
-# count in u = log z (each about 0.5 wide) and its Chebyshev degree.  Below
-# 1e-17 the table's end value is exact to rounding for order steps above
-# one; points with s at or above the envelope cut have z <= 15.
+# per-order-step table of the series: the z range it covers at least, its
+# panel count in u = log z (each about 0.5 wide) and its Chebyshev degree.
+# Below 1e-17 the table's end value is exact to rounding for order steps
+# above one; points with s at or above the envelope cut have z <= 15.
 _TABLE_Z = (1e-17, 40.0)
 _TABLE_PANELS = 86
 _TABLE_DEGREE = 20
 _TABLE_U = (math.log(_TABLE_Z[0]), math.log(_TABLE_Z[1]))
 
+# Above the cut z*(nu) = max(_TABLE_Z[1], _CUT_NU2 nu^2) the series is taken
+# as exactly 0.  The alternating sum K(z) falls like exp(-z (1 - cos(pi/nu))),
+# and with this cut that exponent is at least 40 for every order step (least
+# at nu = 2).  By mpmath at 60 digits, |K(z*)| is 8.5e-16 at nu = 2, 3.9e-17
+# at 2.5, 6.4e-18 at 3, 3.1e-19 at 5, 1.3e-21 at 1.632 and 2.6e-23 at 1.545,
+# and |K| keeps falling above z*.  A hit density is its prefactor times
+# exp(z - w) K(z), and over every (s, ell) with a given z that factor is at
+# most sqrt(2 pi) pi^2 sin(alpha) / alpha^3 (st2 / kappa^2) sqrt(z), alpha =
+# pi / (2 nu) the wedge opening; so the cut moves a density by at most
+# 2e-13 st2 / kappa^2 (at nu = 2), and by under 4e-18 on the benchmark
+# models' sides (nu near 1.6, st2 / kappa^2 <= 16.8).  Tables whose cut lies
+# above _TABLE_Z[1] get more panels of the same width.
+_CUT_NU2 = 10.0
 
-def _wedge_sum_scaled(z, w, nu_step):
-    """Pointwise sum over n of (-1)^(n-1) n^2 I_{n nu_step}(z) e^{-w}.
 
-    The exact evaluator: its body, ``_wedge_series``, fills the nodes of
-    ``_wedge_table``, and it serves the points above the table's range.
+def _wedge_cut(nu_step):
+    """z*(nu_step), above which the series is taken as 0."""
+    return max(_TABLE_Z[1], _CUT_NU2 * nu_step * nu_step)
+
+
+def _wedge_series(z, w, nu_step, terms_max):
+    """Pointwise sum over n of (-1)^(n-1) n^2 I_{n nu_step}(z) e^{-w}, the
+    exact evaluator that fills the nodes of ``_wedge_table``.
+
     Each term is assembled from the scaled Bessel function times
     exp(z - w), a damping factor never above one here, so nothing can
     overflow.  Orders are taken in blocks of _SERIES_BLOCK and evaluated
     only at the points still summing; each point stops on its own test,
     after three consecutive orders whose term is at most
-    _ABS_TOL (1 + |partial|) for that point, and _SERIES_TERMS_MAX caps
-    each point's order count.  A point's value therefore does not depend
-    on the points it is batched with.  Returns (values, converged),
-    converged being False when any point reached the cap first.
+    _ABS_TOL (1 + |partial|) for that point, and terms_max caps each
+    point's order count.  A point's value therefore does not depend on the
+    points it is batched with.  Returns (values, capped), capped marking
+    each point that reached the cap.
     """
-    total, capped = _wedge_series(z, w, nu_step, _SERIES_TERMS_MAX)
-    return total, not capped.any()
-
-
-def _wedge_series(z, w, nu_step, terms_max):
-    """Body of ``_wedge_sum_scaled`` with an explicit order cap; returns
-    (values, capped), capped marking each point that reached the cap."""
     from scipy import special
 
     z = np.asarray(z, dtype=float)
@@ -266,20 +286,23 @@ def _wedge_table(nu_step, terms_max):
     """Piecewise-Chebyshev table of K(z) / (z/2)^nu_step in u = log z, where
     K(z) = sum_n (-1)^(n-1) n^2 ive(n nu_step, z) is the series at w = z.
 
-    Panels split [log _TABLE_Z[0], log _TABLE_Z[1]] evenly; each holds the
-    Chebyshev coefficients of its degree-_TABLE_DEGREE interpolant at the
-    Chebyshev points of the first kind, whose values come from
-    ``_wedge_series``.  Returns (coefs, panel_ok): coefs[k, p] multiplies
-    T_k on panel p, and panel_ok[p] is False when a node of panel p reached
-    the order cap.  Keyed on the cap too, so a table never outlives a
-    change of _SERIES_TERMS_MAX.
+    Panels split [log _TABLE_Z[0], log _TABLE_Z[1]] evenly, and panels of
+    the same width continue above until they cover ``_wedge_cut``; each
+    holds the Chebyshev coefficients of its degree-_TABLE_DEGREE
+    interpolant at the Chebyshev points of the first kind, whose values
+    come from ``_wedge_series``.  Returns (coefs, panel_ok): coefs[k, p]
+    multiplies T_k on panel p, and panel_ok[p] is False when a node of
+    panel p reached the order cap.  Keyed on the cap too, so a table never
+    outlives a change of _SERIES_TERMS_MAX.
     """
     n = _TABLE_DEGREE + 1
     theta = math.pi * (np.arange(n) + 0.5) / n
     u_lo, u_hi = _TABLE_U
     width = (u_hi - u_lo) / _TABLE_PANELS
+    panels = _TABLE_PANELS + math.ceil(
+        max(math.log(_wedge_cut(nu_step)) - u_hi, 0.0) / width)
     frac = 0.5 * (1.0 + np.cos(theta))
-    z = np.exp(u_lo + width * (np.arange(_TABLE_PANELS)[:, None] + frac))
+    z = np.exp(u_lo + width * (np.arange(panels)[:, None] + frac))
     k, capped = _wedge_series(z, z, nu_step, terms_max)
     to_coef = (2.0 / n) * np.cos(np.outer(np.arange(n), theta))
     to_coef[0] *= 0.5
@@ -288,28 +311,27 @@ def _wedge_table(nu_step, terms_max):
 
 
 def _wedge_sum(z, w, nu_step):
-    """The series of ``_wedge_sum_scaled``, same arguments and returns,
-    read from the per-order-step table.
+    """The series of ``_wedge_series``, read from the per-order-step table;
+    returns (values, converged).
 
     Since every term carries the same damping exp(z - w), the sum is
     exp(z - w) K(z), and K(z) = (z/2)^nu_step g(log z) with g tabulated by
-    ``_wedge_table``.  Points above _TABLE_Z[1] go to the exact series.
-    Below _TABLE_Z[0], g takes its value at the table's lower end: g tends
-    to 1/Gamma(nu_step + 1) as z -> 0 with corrections O(z) and
-    O((z/2)^nu_step), both under 1e-16 relative there for every order step
-    above one.  converged is False when a point went to the exact series
-    and reached its cap, or when a node of a point's own panel did.
+    ``_wedge_table``.  Points above the cut ``_wedge_cut`` get exactly 0,
+    which moves a hit density by at most 2e-13 st2 / kappa^2 (evidence at
+    _CUT_NU2), and are never summed.  Below _TABLE_Z[0], g takes its value
+    at the table's lower end: g tends to 1/Gamma(nu_step + 1) as z -> 0
+    with corrections O(z) and O((z/2)^nu_step), both under 1e-16 relative
+    there for every order step above one.  converged is False when a node
+    of a point's own panel reached the order cap.
     """
     z = np.asarray(z, dtype=float)
     w = np.asarray(w, dtype=float)
     shape = np.broadcast_shapes(z.shape, w.shape)
     zf = np.broadcast_to(z, shape).ravel()
     wf = np.broadcast_to(w, shape).ravel()
-    out = np.empty(zf.shape)
-    far = zf > _TABLE_Z[1]
-    ok = True
+    out = np.zeros(zf.shape)
+    far = zf > _wedge_cut(nu_step)
     if far.any():
-        out[far], ok = _wedge_sum_scaled(zf[far], wf[far], nu_step)
         near = ~far
         zf, wf = zf[near], wf[near]
     else:
@@ -319,7 +341,7 @@ def _wedge_sum(z, w, nu_step):
     with np.errstate(divide="ignore"):
         t = (np.log(zf) - u_lo) * (_TABLE_PANELS / (u_hi - u_lo))
     t = np.maximum(t, 0.0)
-    panel = np.minimum(t.astype(np.intp), _TABLE_PANELS - 1)
+    panel = np.minimum(t.astype(np.intp), coefs.shape[1] - 1)
     x = 2.0 * (t - panel) - 1.0
     # Clenshaw recurrence for sum_k coefs[k, panel] T_k(x)
     x2 = 2.0 * x
@@ -329,41 +351,72 @@ def _wedge_sum(z, w, nu_step):
         b1, b2 = row[panel] + x2 * b1 - b2, b1
     g = coefs[0][panel] + x * b1 - b2
     out[near] = np.power(0.5 * zf, nu_step) * np.exp(zf - wf) * g
-    ok = ok and bool(panel_ok[panel].all())
-    return out.reshape(shape), ok
+    return out.reshape(shape), bool(panel_ok[panel].all())
 
 
 # ---------------------------------------------------------------------------
 # excursion-conditioned hit densities for the bracketing processes
 
 
+# points per block of _hit_density_core.  A block's temporaries, the
+# Clenshaw recurrence's among them, then stay in cache.  On a 2-core shared
+# x86-64 host, the benchmark's three cold parameter sets took 99-111 ms with
+# blocks of 16k points, 106-114 ms with 4k, 112-122 ms with 32k, 130-137 ms
+# with 64k and 157-174 ms unblocked
+_DENSITY_BLOCK = 16384
+
+
 def _hit_density_core(s, ell, kappa, st2, rho):
     """Density (broadcast over s and ell) that the bracketing process first
-    hits zero at time s during an excursion of length ell.
+    hits zero at time s during an excursion of length ell; returns
+    (values, converged).
 
     kappa is the starting gap, st2 the variance rate of its free Brownian
     component, rho the driving correlation.  The wedge series is read from
-    the table of its order step, ``_wedge_sum``.
+    the table of its order step, ``_wedge_sum``.  The broadcast grid, of at
+    least one axis, is evaluated in blocks of whole rows (first-axis
+    slices) of about _DENSITY_BLOCK points.  Every step is elementwise, so
+    values do not depend on the blocking, and converged is False when any
+    block's is.
     """
     s = np.asarray(s, dtype=float)
     ell = np.asarray(ell, dtype=float)
+    shape = np.broadcast_shapes(s.shape, ell.shape)
+    # give both the grid's axes, so that each can be cut into rows or, with
+    # one row, kept whole
+    s = s.reshape((1,) * (len(shape) - s.ndim) + s.shape)
+    ell = ell.reshape((1,) * (len(shape) - ell.ndim) + ell.shape)
+    rows = max(1, _DENSITY_BLOCK // math.prod(shape[1:]))
     sin_a = math.sqrt(1.0 - rho * rho)
     alpha = math.atan2(sin_a, -rho)
     cos2a = 2.0 * rho * rho - 1.0
-    A = ell - s
-    B = ell - s * cos2a
-    denom = A + B
-    qq = kappa * kappa / (2.0 * st2 * s)
-    wexp = qq * B / denom
-    zarg = qq * A / denom
-    pref = (np.sqrt(2.0 * math.pi * ell ** 3 * st2) * math.pi ** 2 * sin_a
-            / (2.0 * kappa * alpha ** 3 * A * np.sqrt(s * (ell - s * rho * rho))))
-    series, okc = _wedge_sum(zarg, wexp, math.pi / (2.0 * alpha))
-    return np.maximum(pref * series, 0.0), okc
+    nu_step = math.pi / (2.0 * alpha)
+    out = np.empty(shape)
+    ok = True
+    for start in range(0, shape[0], rows):
+        cut = slice(start, start + rows)
+        s_b = s[cut] if s.shape[0] > 1 else s
+        ell_b = ell[cut] if ell.shape[0] > 1 else ell
+        A = ell_b - s_b
+        B = ell_b - s_b * cos2a
+        denom = A + B
+        qq = kappa * kappa / (2.0 * st2 * s_b)
+        wexp = qq * B / denom
+        zarg = qq * A / denom
+        pref = (np.sqrt(2.0 * math.pi * ell_b ** 3 * st2) * math.pi ** 2 * sin_a
+                / (2.0 * kappa * alpha ** 3 * A
+                   * np.sqrt(s_b * (ell_b - s_b * rho * rho))))
+        series, okc = _wedge_sum(zarg, wexp, nu_step)
+        out[cut] = np.maximum(pref * series, 0.0)
+        ok = ok and okc
+    return out, ok
 
 
 def _hit_sides(constants):
     """(kappa, free-variance, excursion-side weight) for the two brackets."""
+    if isinstance(constants, ModelParams):
+        raise TypeError("analytics functions take the DerivedConstants of a "
+                        "model: pass derive_constants(params), not ModelParams")
     rho = constants.rho
     side_v = (constants.kappa_L,
               (1.0 - rho * rho) * constants.sigma_plus ** 2,

@@ -27,11 +27,14 @@ from loblab.analytics import (
     _cf_table,
     _filon_integral,
     _filon_kernel,
+    _hit_density_core,
+    _hit_sides,
     _inner_edges,
     _legendre_moments,
     _osc_power_tail,
+    _wedge_cut,
+    _wedge_series,
     _wedge_sum,
-    _wedge_sum_scaled,
 )
 
 # the benchmark's three analytic models and the mirror image of the last
@@ -59,6 +62,13 @@ def side_denominator_part(tab, alpha):
     finite = _filon_integral(kernel, tab.l_coefs)
     tail = tab.ptot_far * _osc_power_tail(alpha, _TAIL_CUT[1])
     return tab.weight * (finite + tail)
+
+
+def exact_series(z, w, nu_step):
+    """The wedge series summed by the table's own filler under the module's
+    order cap, as (values, converged)."""
+    vals, capped = _wedge_series(z, w, nu_step, analytics._SERIES_TERMS_MAX)
+    return vals, not capped.any()
 
 
 @pytest.fixture(scope="module")
@@ -97,16 +107,16 @@ class TestWedgeSeries:
     W = np.array([500.0, 520.0, 1e-3, 0.5, 800.0, 2000.0, 5.2, 1100.0])
 
     def test_batch_equals_points_alone(self):
-        vals, ok = _wedge_sum_scaled(self.Z, self.W, self.NU_STEP)
+        vals, ok = exact_series(self.Z, self.W, self.NU_STEP)
         assert ok
         for i in range(self.Z.size):
-            alone, ok_i = _wedge_sum_scaled(self.Z[i:i + 1], self.W[i:i + 1],
-                                            self.NU_STEP)
+            alone, ok_i = exact_series(self.Z[i:i + 1], self.W[i:i + 1],
+                                       self.NU_STEP)
             assert ok_i
             assert alone[0] == vals[i]
 
     def test_matches_full_sum(self):
-        vals, _ = _wedge_sum_scaled(self.Z, self.W, self.NU_STEP)
+        vals, _ = exact_series(self.Z, self.W, self.NU_STEP)
         ns = np.arange(1, 201, dtype=float)
         coef = np.where(ns % 2 == 1, 1.0, -1.0) * ns * ns
         ref = (coef[:, None] * special.ive(ns[:, None] * self.NU_STEP, self.Z)
@@ -120,8 +130,8 @@ class TestWedgeSeries:
         series_cap(12)
         z = np.array([1e-3, 500.0])
         w = np.array([1e-3, 500.0])
-        _, ok_small = _wedge_sum_scaled(z[:1], w[:1], self.NU_STEP)
-        _, ok_both = _wedge_sum_scaled(z, w, self.NU_STEP)
+        _, ok_small = exact_series(z[:1], w[:1], self.NU_STEP)
+        _, ok_both = exact_series(z, w, self.NU_STEP)
         assert ok_small
         assert not ok_both
 
@@ -140,7 +150,7 @@ class TestWedgeTable:
     @pytest.mark.parametrize("nu", NU_STEPS)
     def test_agrees_with_exact_series(self, nu):
         table, ok = _wedge_sum(self.Z, self.Z, nu)
-        exact, ok_exact = _wedge_sum_scaled(self.Z, self.Z, nu)
+        exact, ok_exact = exact_series(self.Z, self.Z, nu)
         assert ok and ok_exact
         # the exact series stops once its terms fall under _ABS_TOL, so at
         # small steps and large z it carries a truncation error of its own,
@@ -159,17 +169,39 @@ class TestWedgeTable:
         # O(z) and O((z/2)^nu), under 1e-16 relative at the range's end
         z = self.Z[self.Z <= 1.0]
         table, _ = _wedge_sum(z, z, nu)
-        exact, _ = _wedge_sum_scaled(z, z, nu)
+        exact, _ = exact_series(z, z, nu)
         assert np.all(exact > 0.0)
         assert np.all(np.abs(table - exact) <= 1e-13 * exact)
 
-    def test_above_range_is_the_exact_series(self):
-        z = np.array([self.HI * 1.0001, 75.0, 480.0, 500.0])
-        w = np.array([self.HI * 1.0001, 80.0, 520.0, 500.0])
-        table, ok = _wedge_sum(z, w, self.NU_STEP)
-        exact, ok_exact = _wedge_sum_scaled(z, w, self.NU_STEP)
+    def test_above_cut_is_zero(self):
+        # above z*(nu) a point is never summed: exactly 0 and converged,
+        # damped or not and however large, with no floating-point warning;
+        # the cut is 40 for the benchmark's steps and grows as 10 nu^2
+        for nu in (self.NU_STEP, 3.0, 5.0):
+            cut = _wedge_cut(nu)
+            z = np.array([cut * 1.0001, 75.0 * cut, 480.0 * cut, 1e300])
+            w = z + np.array([0.0, 5.0, 40.0, 0.0])
+            with np.errstate(all="raise"):
+                vals, ok = _wedge_sum(z, w, nu)
+            assert ok
+            assert np.array_equal(vals, np.zeros(z.size))
+        cuts = [_wedge_cut(nu) for nu in (1.545, 1.632, 2.0, 3.0)]
+        assert cuts == [40.0, 40.0, 40.0, 90.0]
+
+    @pytest.mark.parametrize("nu", (2.5, 3.0, 8.0))
+    def test_panels_above_40_agree_with_exact_series(self, nu):
+        # a cut above _TABLE_Z[1] adds panels of the same width up to it;
+        # same tolerance as on the base range
+        z = np.geomspace(self.HI, _wedge_cut(nu), 1000)
+        table, ok = _wedge_sum(z, z, nu)
+        exact, ok_exact = exact_series(z, z, nu)
         assert ok and ok_exact
-        assert np.array_equal(table, exact)
+        ns = np.arange(1, 401, dtype=float)
+        coef = np.where(ns % 2 == 1, 1.0, -1.0) * ns * ns
+        full = (coef[:, None] * special.ive(ns[:, None] * nu, z)).sum(axis=0)
+        truncation = np.max(np.abs(exact - full))
+        tol = 1e-14 * (1.0 + np.abs(exact)) + 4.0 * truncation
+        assert np.all(np.abs(table - exact) <= tol)
 
     def test_batch_equals_points_alone(self):
         # below, inside and above the range, damped and undamped
@@ -184,7 +216,8 @@ class TestWedgeTable:
 
     def test_cap_is_per_panel(self, series_cap):
         # under a cap of 6 the nodes near z = 1e-3 converge and those near
-        # z = 30 do not; above the range the exact series reports its own
+        # z = 30 do not; a point above the cut is never summed, so it
+        # reports no cap
         series_cap(6)
         _, ok_small = _wedge_sum(np.array([1e-3]), np.array([1e-3]), self.NU_STEP)
         _, ok_mid = _wedge_sum(np.array([1e-3, 30.0]), np.array([1e-3, 30.0]),
@@ -193,7 +226,87 @@ class TestWedgeTable:
                                self.NU_STEP)
         assert ok_small
         assert not ok_mid
-        assert not ok_far
+        assert ok_far
+
+
+class TestWedgeCut:
+    """The cut z*(nu) is certified against the true series at 60 digits."""
+
+    # order steps from a wide wedge to a narrow one; 2 is where the cut's
+    # decay exponent z* (1 - cos(pi/nu)) is least
+    NU_STEPS = (1.05, 1.545, 1.632, 2.0, 2.5, 3.0, 5.0)
+    # absolute tolerance on a hit density, for sides whose st2 / kappa^2 is
+    # at most SCALE (the benchmark models' sides reach 16.8)
+    DENSITY_TOL = 1e-11
+    SCALE = 20.0
+
+    @staticmethod
+    def true_series(mp, nu, z):
+        """K(z) = sum_n (-1)^(n-1) n^2 ive(n nu, z) at 60 digits, summed
+        until a term past the Gaussian bulk (n nu > sqrt(z)) is under
+        1e-70."""
+        with mp.workdps(60):
+            nu, z = mp.mpf(nu), mp.mpf(z)
+            damp = mp.exp(-z)
+            total, n = mp.mpf(0), 1
+            while True:
+                term = n * n * mp.besseli(n * nu, z) * damp
+                total += term if n % 2 else -term
+                if n * nu > mp.sqrt(z) and term < mp.mpf(10) ** -70:
+                    return float(total)
+                n += 1
+
+    @staticmethod
+    def density_factor(nu, scale):
+        """Supremum over (s, ell) at a given z of the hit density's
+        prefactor times exp(z - w), divided by sqrt(z), for a side with
+        st2 / kappa^2 = scale and wedge opening pi / (2 nu)."""
+        alpha = math.pi / (2.0 * nu)
+        return (math.sqrt(2.0 * math.pi) * math.pi ** 2 * math.sin(alpha)
+                / alpha ** 3 * scale)
+
+    @pytest.mark.parametrize("nu", NU_STEPS)
+    def test_true_density_above_cut_is_within_tolerance(self, nu):
+        # about 2 s for the seven steps together
+        mp = pytest.importorskip("mpmath")
+        zs = _wedge_cut(nu) * np.array([1.0, 1.25, 1.5, 2.0])
+        bounds = [self.density_factor(nu, self.SCALE) * math.sqrt(z)
+                  * abs(self.true_series(mp, nu, z)) for z in zs]
+        assert max(bounds) <= self.DENSITY_TOL
+        # K keeps falling above the cut, down to the 60-digit sum's noise
+        assert all(b <= max(a, 1e-45) for a, b in zip(bounds, bounds[1:]))
+
+    def test_density_factor_bounds_the_module_prefactor(self, monkeypatch):
+        # with the series replaced by exp(z - w), the density core returns
+        # the prefactor times exp(z - w); it stays under the stated
+        # supremum at every point above the cut, on each benchmark side
+        def unit_series(z, w, nu_step):
+            return np.exp(np.asarray(z) - np.asarray(w)), True
+
+        monkeypatch.setattr(analytics, "_wedge_sum", unit_series)
+        ell = np.geomspace(1e-4, 1e3, 300)[:, None]
+        s = ell * np.geomspace(1e-9, 1.0 - 1e-9, 400)
+        for model in SWEEP_MODELS.values():
+            c = derive_constants(model)
+            for kappa, st2, _ in _hit_sides(c):
+                kappa = abs(kappa)
+                alpha = math.atan2(math.sqrt(1.0 - c.rho ** 2), -c.rho)
+                nu = math.pi / (2.0 * alpha)
+                assert st2 / kappa ** 2 <= self.SCALE
+                qq = kappa * kappa / (2.0 * st2 * s)
+                z = qq * (ell - s) / (2.0 * (ell - s * c.rho ** 2))
+                far = z > _wedge_cut(nu)
+                assert far.sum() > 1000
+                pref, _ = _hit_density_core(s, ell, kappa, st2, c.rho)
+                bound = self.density_factor(nu, st2 / kappa ** 2) * np.sqrt(z)
+                assert np.all(pref[far] <= bound[far] * (1.0 + 1e-12))
+
+    def test_public_density_at_a_far_point(self):
+        # z = 43 here, above the cut of nu = 1.632; the true density is
+        # 2.3e-29 (mpmath), where the exact series used to give 2.5e-7
+        c = derive_constants(ModelParams(theta_b=2.0))
+        val = p_vstar_density(2.7534e-4, 9.9706e-4, c)
+        assert abs(val - 2.3e-29) <= self.DENSITY_TOL
 
 
 class TestPanelTables:
@@ -247,6 +360,44 @@ class TestHitDensities:
         for ell in (0.0, math.inf, math.nan):
             with pytest.raises(ValueError):
                 p_vstar_total(ell, constants)
+
+
+class TestDensityBlocks:
+    @pytest.fixture
+    def side(self, constants):
+        (kappa, st2, _), _ = _hit_sides(constants)
+        return kappa, st2, constants.rho
+
+    def test_blocks_match_one_call(self, side, monkeypatch):
+        # 37 rows of 50 points; blocks of 3 rows leave a last block of one
+        ell = np.geomspace(1e-3, 10.0, 37)[:, None]
+        s = ell * np.linspace(1e-3, 0.999, 50)
+        monkeypatch.setattr(analytics, "_DENSITY_BLOCK", 10 ** 9)
+        whole, ok_whole = _hit_density_core(s, ell, *side)
+        monkeypatch.setattr(analytics, "_DENSITY_BLOCK", 150)
+        blocked, ok = _hit_density_core(s, ell, *side)
+        assert ok_whole and ok
+        assert np.array_equal(blocked, whole)
+        # one axis, the length a scalar: blocks of 7 points
+        monkeypatch.setattr(analytics, "_DENSITY_BLOCK", 7)
+        row, ok_row = _hit_density_core(s[-1], float(ell[-1, 0]), *side)
+        assert ok_row
+        assert np.array_equal(row, whole[-1])
+
+    def test_cap_in_one_block_fails_the_call(self, side, series_cap,
+                                             monkeypatch):
+        # under a cap of 6 the panels near z = 30 fail and those at
+        # z = 0.05 or less do not; only the first of three blocks holds a
+        # point near 30
+        series_cap(6)
+        monkeypatch.setattr(analytics, "_DENSITY_BLOCK", 3)
+        kappa, st2, _ = side
+        s_mid = kappa * kappa / (4.0 * st2 * 30.0)
+        s = np.concatenate([[s_mid], np.linspace(0.6, 0.95, 6)])
+        _, ok_rest = _hit_density_core(s[1:], 1.0, *side)
+        _, ok_all = _hit_density_core(s, 1.0, *side)
+        assert ok_rest
+        assert not ok_all
 
 
 class TestHitTotals:
@@ -477,6 +628,21 @@ class TestOneMomentEvaluation:
         for repeat in range(3):
             renewal_cf(alpha, c)
             assert len(calls) == repeat + 1
+
+
+class TestNeedsDerivedConstants:
+    @pytest.mark.parametrize("call", [
+        lambda p: p_vstar_density(0.4, 1.0, p),
+        lambda p: p_ystar_density(0.4, 1.0, p),
+        lambda p: p_vstar_total(1.0, p),
+        lambda p: p_ystar_total(1.0, p),
+        lambda p: renewal_intensities(p),
+        lambda p: renewal_down_prob(p),
+        lambda p: renewal_cf(1.0, p),
+    ])
+    def test_model_params_raise_a_named_error(self, call):
+        with pytest.raises(TypeError, match="derive_constants"):
+            call(ModelParams(theta_b=2.0))
 
 
 class TestLengthMeasureIdentity:
