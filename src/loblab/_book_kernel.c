@@ -1,24 +1,32 @@
 /* Event kernel of the six-slot book (see lob_simulator).
  *
- * classify() is the only sampler: given the six signed slot counts and one
- * standard exponential and one standard uniform draw, it returns the holding
- * time, the slot that changes, its step, the interior region in force and
- * the flow.  The two loops draw through numpy's own bit generator, the
+ * classify_event() is the only sampler: given the six signed slot counts and
+ * one standard exponential and one standard uniform draw, it returns the
+ * holding time, the slot that changes, its step, the interior region in
+ * force and the flow.  Both event loops inline it and the checked step
+ * apply_checked(); the exported classify() and apply_event() wrap them for
+ * the tests.  The two loops draw through numpy's own bit generator, the
  * exponential first and then the uniform, so they consume a Generator's
  * stream exactly as Generator.standard_exponential() followed by
  * Generator.random() would.  Errors are returned as a status; the Python
  * wrapper raises them.
  *
- * The fixed flow is picked without branches: the scaled uniform goes
- * through the same five sequential subtractions of the fixed rates, in the
- * same order, as an early-exit search, and the pick counts the leading
- * flows whose test fails, so it picks the flow that search picks.
- * Comparing the uniform with cumulative thresholds instead would pick
- * another flow at rounding ties on non-dyadic rates (example in classify).
+ * The fixed flow is picked by exact thresholds.  An early-exit search
+ * subtracts the fixed rates from the scaled uniform u one by one, in
+ * sampling order, and stops at the first flow whose rate exceeds the
+ * remainder.  Rounded subtraction is monotone, so for each k the u that
+ * pass the first k + 1 tests form an up-set [T_k, inf) of doubles.  Each
+ * loop call finds the five T_k once, by bisection over the bit patterns of
+ * the non-negative doubles with the same subtractions in the same order,
+ * and the pick counts the T_k at or below u.  It is the flow that search
+ * picks, rounding ties included; prefix sums of the rates are not (example
+ * in classify_event).
  *
  * Bit identity with the Python reference rests on IEEE double arithmetic in
  * source order: build with -O2 -ffp-contract=off and never -ffast-math.
  */
+
+#include <string.h>
 
 #include "numpy/random/distributions.h"
 
@@ -56,7 +64,42 @@ static void set_event(event_t *ev, double dt, int slot, int delta, int region,
     ev->category = category;
 }
 
-int classify(const int64_t *q, double e, double u, const rates_t *r, event_t *ev)
+/* whether the scaled uniform v passes the first k + 1 tests of the search */
+static int passes(double v, const double *fixed, int k)
+{
+    for (int j = 0; j <= k; j++) {
+        if (v < fixed[j])
+            return 0;
+        v -= fixed[j];
+    }
+    return 1;
+}
+
+/* T_k, the least non-negative double that passes the first k + 1 tests:
+ * non-negative doubles order as their bit patterns, and +inf passes */
+static void flow_thresholds(const rates_t *r, double *thr)
+{
+    for (int k = 0; k < 5; k++) {
+        uint64_t lo = 0, hi = 0x7ff0000000000000u;
+        double v = 0.0;
+        if (!passes(v, r->fixed, k)) {
+            while (hi - lo > 1) {
+                const uint64_t mid = lo + (hi - lo) / 2;
+                memcpy(&v, &mid, sizeof v);
+                if (passes(v, r->fixed, k))
+                    hi = mid;
+                else
+                    lo = mid;
+            }
+            memcpy(&v, &hi, sizeof v);
+        }
+        thr[k] = v;
+    }
+}
+
+static inline __attribute__((always_inline)) int
+classify_event(const int64_t *q, double e, double u, const rates_t *r,
+               const double *thr, event_t *ev)
 {
     const int64_t q0 = q[0], q1 = q[1], w = q[2], x = q[3], q4 = q[4], q5 = q[5];
     int region, bid, ask;
@@ -105,22 +148,16 @@ int classify(const int64_t *q, double e, double u, const rates_t *r, event_t *ev
     if (u < r->fixed_total) {
         const int targets[6] = {ask, bid, ask - 1, ask - 2, bid + 1, bid + 2};
         const int deltas[6] = {1, -1, 1, 1, -1, -1};
-        /* branch-free pick: c counts the leading flows whose test fails.
-         * v goes through the same five subtractions, in the same order, as
-         * an early-exit search, so every test that decides c sees the value
-         * that search sees.  Cumulative thresholds (prefix sums of fixed)
-         * are wrong at rounding ties: for ModelParams(a=1.2, b=1.7,
+        /* c counts the thresholds at or below u, which is the number of
+         * leading flows whose sequential test fails.  Prefix sums of fixed
+         * would be wrong at rounding ties: for ModelParams(a=1.2, b=1.7,
          * lambda0=2, theta_b=2, theta_s=0.5), u = 5.5317647058823525 equals
-         * the sum of the first four fixed rates, so a threshold test moves
+         * the sum of the first four fixed rates, so a prefix-sum test moves
          * on to flow 4; but after three subtractions v = 1.7199999999999993
-         * lies below fixed[3] = 1.7199999999999998, so the flow is 3. */
-        double v = u;
-        int c = 0, live = 1;
-        for (int k = 0; k < 5; k++) {
-            live &= !(v < r->fixed[k]);
-            c += live;
-            v -= r->fixed[k];
-        }
+         * lies below fixed[3] = 1.7199999999999998, so the flow is 3.  The
+         * bisected T_3 lies above that u, so the count is 3 as well. */
+        const int c = (u >= thr[0]) + (u >= thr[1]) + (u >= thr[2]) +
+                      (u >= thr[3]) + (u >= thr[4]);
         set_event(ev, dt, targets[c], deltas[c], region, c);
         return KERNEL_OK;
     }
@@ -144,7 +181,8 @@ int classify(const int64_t *q, double e, double u, const rates_t *r, event_t *ev
     return KERNEL_OK;
 }
 
-int apply_event(int64_t *q, int slot, int delta, int category)
+static inline __attribute__((always_inline)) int
+apply_checked(int64_t *q, int slot, int delta, int category)
 {
     if (slot < 0 || slot > 5)
         return KERNEL_OUTSIDE;
@@ -155,37 +193,57 @@ int apply_event(int64_t *q, int slot, int delta, int category)
     return KERNEL_OK;
 }
 
-static int draw_and_classify(bitgen_t *bg, const int64_t *q, const rates_t *r,
-                             event_t *ev)
+int classify(const int64_t *q, double e, double u, const rates_t *r, event_t *ev)
+{
+    double thr[5];
+    flow_thresholds(r, thr);
+    return classify_event(q, e, u, r, thr, ev);
+}
+
+int apply_event(int64_t *q, int slot, int delta, int category)
+{
+    return apply_checked(q, slot, delta, category);
+}
+
+static inline __attribute__((always_inline)) int
+draw_and_classify(bitgen_t *bg, const int64_t *q, const rates_t *r,
+                  const double *thr, event_t *ev)
 {
     const double e = random_standard_exponential(bg);
     const double u = random_standard_uniform(bg);
-    return classify(q, e, u, r, ev);
+    return classify_event(q, e, u, r, thr, ev);
 }
+
+/* Both loops step a local event and store it in *ev once, on exit, so that
+ * after a refusal *ev holds the refused event. */
 
 int run_to_renewal(bitgen_t *bg, int64_t *q, const rates_t *r, double limit,
                    double *clock, double *occ, int64_t *events, event_t *ev)
 {
+    double thr[5];
+    flow_thresholds(r, thr);
+    event_t e = {0.0, 0, 0, 0, 0};
     double c = *clock;
     int64_t k = *events;
     int status;
     for (;;) {
-        if ((status = draw_and_classify(bg, q, r, ev)))
+        if ((status = draw_and_classify(bg, q, r, thr, &e)))
             break;
-        if (c + ev->dt > limit) {
+        if (c + e.dt > limit) {
             status = KERNEL_HORIZON;
             break;
         }
-        if ((status = apply_event(q, ev->slot, ev->delta, ev->category)))
+        if ((status = apply_checked(q, e.slot, e.delta, e.category)))
             break;
-        occ[ev->region] += ev->dt;
-        c += ev->dt;
+        occ[e.region] += e.dt;
+        c += e.dt;
         k++;
         if (q[1] == 0 || q[4] == 0)
             break;
     }
     *clock = c;
     *events = k;
+    *ev = e;
     return status;
 }
 
@@ -193,14 +251,17 @@ int run_scaled_path(bitgen_t *bg, int64_t *q, const rates_t *r,
                     const double *grid, int64_t m, int64_t *counts,
                     double *occupations, event_t *ev)
 {
+    double thr[5];
+    flow_thresholds(r, thr);
+    event_t e = {0.0, 0, 0, 0, 0};
     double occ[8] = {0.0};
     double clock = 0.0;
     int64_t gi = 0;
-    int status;
+    int status = KERNEL_OK;
     while (gi < m) {
-        if ((status = draw_and_classify(bg, q, r, ev)))
-            return status;
-        const double t_next = clock + ev->dt;
+        if ((status = draw_and_classify(bg, q, r, thr, &e)))
+            break;
+        const double t_next = clock + e.dt;
         /* each grid instant before the event sees the state after the
          * last event and the occupation accrued exactly up to it */
         for (; gi < m && grid[gi] < t_next; gi++) {
@@ -208,15 +269,18 @@ int run_scaled_path(bitgen_t *bg, int64_t *q, const rates_t *r,
                 counts[6 * gi + i] = q[i];
             for (int i = 0; i < 8; i++)
                 occupations[8 * gi + i] = occ[i];
-            occupations[8 * gi + ev->region] += grid[gi] - clock;
+            occupations[8 * gi + e.region] += grid[gi] - clock;
         }
         if (gi == m)
             break;
-        if (ev->slot < 0 || ev->slot > 5)
-            return KERNEL_OUTSIDE;
-        q[ev->slot] += ev->delta;
-        occ[ev->region] += ev->dt;
+        if (e.slot < 0 || e.slot > 5) {
+            status = KERNEL_OUTSIDE;
+            break;
+        }
+        q[e.slot] += e.delta;
+        occ[e.region] += e.dt;
         clock = t_next;
     }
-    return KERNEL_OK;
+    *ev = e;
+    return status;
 }

@@ -610,6 +610,12 @@ def renewal_cf(alpha_arg, params, flags=None):
     on an up shift, and unconditional.  At zero all three are one by
     normalization and are returned exactly.
 
+    A conditional law needs its shift to have positive probability.  When
+    a side's intensity is 0 (it underflows on very narrow wedges, such as
+    ModelParams(a=1.0001, b=20.0), whose lambda_minus is 0), the law
+    conditional on that shift does not exist, and a nonzero argument raises
+    ValueError naming the side.
+
     The Filon phases and moments of the length grid and of the hit-time
     grids are evaluated once per call (74 panels on a symmetric model,
     102-110 on the benchmark's asymmetric ones).  Warm, a call costs about
@@ -622,6 +628,11 @@ def renewal_cf(alpha_arg, params, flags=None):
         one = complex(1.0, 0.0)
         return one, one, one
     tab_v, tab_y = _cf_table(params)
+    for shift, name, tab in (("down", "lambda_minus", tab_v), ("up", "lambda_plus", tab_y)):
+        if tab.lam_tab == 0.0:
+            raise ValueError(
+                f"the {shift}-shift renewal intensity {name} is 0 for these parameters,"
+                f" so the renewal law conditional on the {shift} shift does not exist")
     if not (tab_v.ok and tab_y.ok):
         _note(flags, FLAG_SERIES_CAP)
     # one kernel serves every grid: the length grid, which depends only on

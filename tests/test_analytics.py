@@ -610,6 +610,20 @@ class TestRenewalCf:
         with pytest.raises(ValueError):
             renewal_cf(math.nan, constants)
 
+    @pytest.mark.parametrize("params, side, shift", [
+        (ModelParams(a=1.0001, b=20.0), 0, "down-shift renewal intensity lambda_minus"),
+        (ModelParams(a=20.0, b=1.0001), 1, "up-shift renewal intensity lambda_plus"),
+    ])
+    def test_zero_side_intensity_is_named(self, params, side, shift):
+        # on these narrow wedges one side's intensity underflows to 0, and
+        # no law conditional on that shift exists
+        c = derive_constants(params)
+        intensities = renewal_intensities(c)
+        assert intensities[side] == 0.0 < intensities[1 - side]
+        for alpha in (1.0, -0.5):
+            with pytest.raises(ValueError, match=f"{shift} is 0 .* does not exist"):
+                renewal_cf(alpha, c)
+
 
 class TestOneMomentEvaluation:
     @pytest.mark.parametrize("model", list(SWEEP_MODELS))

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from loblab import (
     HorizonExceededError,
@@ -1208,3 +1208,111 @@ class TestNonDyadicRates:
                     for name in ("times", "series", "occupations"):
                         a, b = getattr(got, name), getattr(want, name)
                         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+# ---------------------------------------------------------------------------
+# the fixed-flow pick by per-table thresholds: the kernel counts the T_k at
+# or below the scaled uniform, T_k being the least non-negative double that
+# passes the first k + 1 sequential subtraction tests
+
+
+def _bits(value):
+    return int(np.float64(value).view(np.int64))
+
+
+def _from_bits(bits):
+    return float(np.int64(bits).view(np.float64))
+
+
+def ref_thresholds(fixed):
+    """The five T_k, bisected over the bit patterns of non-negative doubles."""
+
+    def passes(v, k):
+        for f in fixed[: k + 1]:
+            if v < f:
+                return False
+            v -= f
+        return True
+
+    thresholds = []
+    for k in range(5):
+        lo, hi = 0, _bits(math.inf)
+        if passes(0.0, k):
+            hi = 0
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if passes(_from_bits(mid), k):
+                hi = mid
+            else:
+                lo = mid
+        thresholds.append(_from_bits(hi))
+    return thresholds
+
+
+# (book, buy pool, sell pool): region O with both pools empty, then NE, SW
+# and SE with stale buys, stale sells and both
+THRESHOLD_BOOKS = (
+    ([0, 2, 0, 0, -2, 0], 0, 0),
+    ([5, 3, 1, 1, -3, -2], 8, 0),
+    ([5, 3, -1, -1, -3, -6], 0, 9),
+    ([5, 3, 1, -1, -3, -6], 5, 6),
+)
+
+
+def _assert_pick_matches_reference_at_thresholds(constants):
+    for n in (1, 100, 10**4):
+        rates = sim._rate_table(constants, n)
+        fixed, fixed_total, tb, ts = rates
+        thresholds = ref_thresholds(fixed)
+        assert thresholds == sorted(thresholds) and thresholds[-1] < fixed_total
+        for book, buy_pool, sell_pool in THRESHOLD_BOOKS:
+            total = fixed_total + tb * buy_pool + ts * sell_pool
+            for k, t in enumerate(thresholds):
+                # raw uniforms within 4 ulps of T_k / total, whose scaled
+                # values fall on both sides of T_k
+                centre = _bits(t / total)
+                sides = set()
+                for step in range(-4, 5):
+                    uniform = _from_bits(centre + step)
+                    sides.add(uniform * total >= t)
+                    want = ref_next_event(book, rates, lambda: 1.0, lambda: uniform)
+                    assert classify(book, rates, 1.0, uniform) == want
+                    assert want[0] == 1.0 / total  # the pools above are the book's
+                assert sides == {False, True}
+
+
+class TestFlowThresholds:
+    @pytest.mark.parametrize("params", [
+        ModelParams(),
+        ModelParams(theta_b=2.0),
+        ModelParams(a=1.2, b=1.7, lambda0=2.0, theta_b=2.0, theta_s=0.5),
+    ], ids=["symmetric", "asym_theta_b", "asym_full"])
+    def test_sweep_models(self, params):
+        _assert_pick_matches_reference_at_thresholds(derive_constants(params))
+
+    # 200 examples, about 1.2 s on a 2-core x86-64 host
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        excess=st.floats(0.01, 3.0),
+        product=st.floats(0.01, 0.99),
+        lambda0=st.floats(0.1, 10.0),
+        theta_b=st.floats(0.1, 10.0),
+        theta_s=st.floats(0.1, 10.0),
+    )
+    def test_admissible_models(self, excess, product, lambda0, theta_b, theta_s):
+        # (a - 1)(b - 1) = product < 1 is the admissible wedge a + b > ab
+        params = ModelParams(a=1.0 + excess, b=1.0 + product / excess, lambda0=lambda0,
+                             theta_b=theta_b, theta_s=theta_s)
+        try:
+            constants = derive_constants(params)
+        except ValueError:  # a + b > ab lost to rounding
+            assume(False)
+        _assert_pick_matches_reference_at_thresholds(constants)
+
+
+class TestBitgen:
+    @pytest.mark.parametrize("kind", [np.random.Philox, np.random.PCG64])
+    def test_pointer_is_the_generators_bitgen(self, kind):
+        bit_generator = kind(7)
+        pointer = int(sim._ffi.cast("uintptr_t", sim._bitgen(bit_generator)))
+        assert pointer == bit_generator.ctypes.bit_generator.value
