@@ -11,6 +11,10 @@
  * Generator.random() would.  Errors are returned as a status; the Python
  * wrapper raises them.
  *
+ * run_to_renewal() steps the book from time 0 until a bracketing queue
+ * empties and writes out only the book, the clock and the last event.
+ * run_scaled_path() also writes each grid instant's region occupations.
+ *
  * The fixed flow is picked by exact thresholds.  An early-exit search
  * subtracts the fixed rates from the scaled uniform u one by one, in
  * sampling order, and stops at the first flow whose rate exceeds the
@@ -218,13 +222,12 @@ draw_and_classify(bitgen_t *bg, const int64_t *q, const rates_t *r,
  * after a refusal *ev holds the refused event. */
 
 int run_to_renewal(bitgen_t *bg, int64_t *q, const rates_t *r, double limit,
-                   double *clock, double *occ, int64_t *events, event_t *ev)
+                   double *clock, event_t *ev)
 {
     double thr[5];
     flow_thresholds(r, thr);
     event_t e = {0.0, 0, 0, 0, 0};
-    double c = *clock;
-    int64_t k = *events;
+    double c = 0.0;
     int status;
     for (;;) {
         if ((status = draw_and_classify(bg, q, r, thr, &e)))
@@ -235,14 +238,11 @@ int run_to_renewal(bitgen_t *bg, int64_t *q, const rates_t *r, double limit,
         }
         if ((status = apply_checked(q, e.slot, e.delta, e.category)))
             break;
-        occ[e.region] += e.dt;
         c += e.dt;
-        k++;
         if (q[1] == 0 || q[4] == 0)
             break;
     }
     *clock = c;
-    *events = k;
     *ev = e;
     return status;
 }

@@ -57,7 +57,7 @@ typedef struct {
 int classify(const int64_t *q, double e, double u, const rates_t *r, event_t *ev);
 int apply_event(int64_t *q, int slot, int delta, int category);
 int run_to_renewal(bitgen_t *bg, int64_t *q, const rates_t *r, double limit,
-                   double *clock, double *occ, int64_t *events, event_t *ev);
+                   double *clock, event_t *ev);
 int run_scaled_path(bitgen_t *bg, int64_t *q, const rates_t *r,
                     const double *grid, int64_t m, int64_t *counts,
                     double *occupations, event_t *ev);

@@ -227,27 +227,23 @@ def _wedge_cut(nu_step):
     return max(_TABLE_Z[1], _CUT_NU2 * nu_step * nu_step)
 
 
-def _wedge_series(z, w, nu_step, terms_max):
-    """Pointwise sum over n of (-1)^(n-1) n^2 I_{n nu_step}(z) e^{-w}, the
+def _wedge_series(z, nu_step, terms_max):
+    """Pointwise K(z) = sum over n of (-1)^(n-1) n^2 ive(n nu_step, z), the
     exact evaluator that fills the nodes of ``_wedge_table``.
 
-    Each term is assembled from the scaled Bessel function times
-    exp(z - w), a damping factor never above one here, so nothing can
-    overflow.  Orders are taken in blocks of _SERIES_BLOCK and evaluated
-    only at the points still summing; each point stops on its own test,
-    after three consecutive orders whose term is at most
-    _ABS_TOL (1 + |partial|) for that point, and terms_max caps each
-    point's order count.  A point's value therefore does not depend on the
-    points it is batched with.  Returns (values, capped), capped marking
-    each point that reached the cap.
+    Each term is a scaled Bessel function, so nothing can overflow.  Orders
+    are taken in blocks of _SERIES_BLOCK and evaluated only at the points
+    still summing; each point stops on its own test, after three
+    consecutive orders whose term is at most _ABS_TOL (1 + |partial|) for
+    that point, and terms_max caps each point's order count.  A point's
+    value therefore does not depend on the points it is batched with.
+    Returns (values, capped), capped marking each point that reached the
+    cap.
     """
     from scipy import special
 
     z = np.asarray(z, dtype=float)
-    w = np.asarray(w, dtype=float)
-    shape = np.broadcast_shapes(z.shape, w.shape)
-    zf = np.broadcast_to(z, shape).ravel()
-    damp = np.exp(zf - np.broadcast_to(w, shape).ravel())
+    zf = z.ravel()
     total = np.zeros(zf.shape)
     # the still-summing points: their indices, partial sums and the count
     # of consecutive small orders each has seen
@@ -260,9 +256,7 @@ def _wedge_series(z, w, nu_step, terms_max):
         ns = np.arange(n0, n1 + 1)
         nf = ns.astype(float)
         coef = np.where(ns % 2 == 1, 1.0, -1.0) * nf * nf
-        terms = (coef[:, None]
-                 * special.ive(nf[:, None] * nu_step, zf[None, :])
-                 * damp[None, :])
+        terms = coef[:, None] * special.ive(nf[:, None] * nu_step, zf[None, :])
         done = np.zeros(idx.size, dtype=bool)
         for row in terms:
             part += row
@@ -272,13 +266,12 @@ def _wedge_series(z, w, nu_step, terms_max):
         if done.any():
             total[idx[done]] = part[done]
             keep = ~done
-            idx, zf, damp, part, run = (idx[keep], zf[keep], damp[keep],
-                                        part[keep], run[keep])
+            idx, zf, part, run = idx[keep], zf[keep], part[keep], run[keep]
         n0 = n1 + 1
     total[idx] = part
     capped = np.zeros(total.shape, dtype=bool)
     capped[idx] = True
-    return total.reshape(shape), capped.reshape(shape)
+    return total.reshape(z.shape), capped.reshape(z.shape)
 
 
 @functools.lru_cache(maxsize=16)
@@ -303,7 +296,7 @@ def _wedge_table(nu_step, terms_max):
         max(math.log(_wedge_cut(nu_step)) - u_hi, 0.0) / width)
     frac = 0.5 * (1.0 + np.cos(theta))
     z = np.exp(u_lo + width * (np.arange(panels)[:, None] + frac))
-    k, capped = _wedge_series(z, z, nu_step, terms_max)
+    k, capped = _wedge_series(z, nu_step, terms_max)
     to_coef = (2.0 / n) * np.cos(np.outer(np.arange(n), theta))
     to_coef[0] *= 0.5
     coefs = (k / np.power(0.5 * z, nu_step)) @ to_coef.T
@@ -311,8 +304,8 @@ def _wedge_table(nu_step, terms_max):
 
 
 def _wedge_sum(z, w, nu_step):
-    """The series of ``_wedge_series``, read from the per-order-step table;
-    returns (values, converged).
+    """The wedge series sum_n (-1)^(n-1) n^2 I_{n nu_step}(z) e^{-w}, read
+    from the per-order-step table; returns (values, converged).
 
     Since every term carries the same damping exp(z - w), the sum is
     exp(z - w) K(z), and K(z) = (z/2)^nu_step g(log z) with g tabulated by
@@ -459,26 +452,8 @@ def _envelope_cut(kappa, st2):
 
 
 def _envelope_mass(s, kappa, st2):
-    """Reflection bound on the chance of a hit by time s."""
-    if s <= 0:
-        return 0.0
+    """Reflection bound on the chance of a hit by time s > 0."""
     return math.erfc(kappa / math.sqrt(2.0 * st2 * s))
-
-
-def _hit_total(ell, kappa, st2, rho):
-    """Probability of a hit within an excursion of length ell, with a
-    refinement pass; returns (value, error_bound, converged)."""
-    lo = min(_envelope_cut(kappa, st2), 0.25 * ell)
-    ok = True
-    vals = []
-    for n_lead, n_tail in ((10, 4), (14, 6)):
-        nodes, wts, _, _ = _panel_nodes(_inner_edges(lo, ell, n_lead, n_tail))
-        dens, okc = _hit_density_core(nodes, ell, kappa, st2, rho)
-        ok &= okc
-        vals.append(float(dens @ wts))
-    err = abs(vals[1] - vals[0]) + _envelope_mass(lo, kappa, st2)
-    value = min(max(vals[1], 0.0), 1.0)
-    return value, err, ok
 
 
 def p_vstar_total(ell, params, flags=None):
@@ -496,10 +471,27 @@ def p_ystar_total(ell, params, flags=None):
 
 
 def _hit_total_checked(ell, kappa, st2, rho, flags):
+    """Probability of a hit within an excursion of length ell, clipped to
+    [0, 1].
+
+    A second, coarser pass gives the error estimate: the two passes'
+    difference plus the envelope's mass below the first panel.  ``flags``
+    gets ``quadrature_tolerance`` when that estimate is large, and
+    ``series_cap`` when a density point reached the order cap.
+    """
     ell = float(ell)
     if not 0 < ell < math.inf:
         raise ValueError("excursion length must be positive and finite")
-    value, err, ok = _hit_total(ell, kappa, st2, rho)
+    lo = min(_envelope_cut(kappa, st2), 0.25 * ell)
+    ok = True
+    vals = []
+    for n_lead, n_tail in ((10, 4), (14, 6)):
+        nodes, wts, _, _ = _panel_nodes(_inner_edges(lo, ell, n_lead, n_tail))
+        dens, okc = _hit_density_core(nodes, ell, kappa, st2, rho)
+        ok &= okc
+        vals.append(float(dens @ wts))
+    err = abs(vals[1] - vals[0]) + _envelope_mass(lo, kappa, st2)
+    value = min(max(vals[1], 0.0), 1.0)
     if not ok:
         _note(flags, FLAG_SERIES_CAP)
     if err > max(_ABS_TOL, _REL_TOL * max(value, 1e-12)) * 100.0:
@@ -535,20 +527,19 @@ class _CfSide:
         ok = True
         tail_mass = math.sqrt(2.0 / math.pi) / math.sqrt(lmax)
         # hit probability on a length grid, for the transform against the
-        # excursion-length measure
+        # excursion-length measure, and in its last row at the upper cutoff
         n_l = max(8, int(round(6.0 * math.log10(lmax / lmin))))
-        l_nodes, l_w, self.l_h, self.l_m = _panel_nodes(
+        l_nodes, _, self.l_h, self.l_m = _panel_nodes(
             np.geomspace(lmin, lmax, n_l + 1))
         lo_env = _envelope_cut(kappa, st2)
-        s_mat, w_mat, _, _ = _panel_nodes(_inner_edges(lo_env, l_nodes))
-        dens, okc = _hit_density_core(s_mat, l_nodes[:, None], kappa, st2, rho)
+        l_rows = np.append(l_nodes, lmax)
+        s_mat, w_mat, _, _ = _panel_nodes(_inner_edges(lo_env, l_rows))
+        dens, okc = _hit_density_core(s_mat, l_rows[:, None], kappa, st2, rho)
         ok &= okc
         ptot = np.einsum("ij,ij->i", dens, w_mat)
-        far_total, _, okf = _hit_total(lmax, kappa, st2, rho)
-        ok &= okf
-        self.ptot_far = far_total
+        self.ptot_far = min(max(float(ptot[-1]), 0.0), 1.0)
         g_l = 1.0 / np.sqrt(2.0 * math.pi * l_nodes ** 3)
-        self.l_coefs = _filon_coefs((ptot * g_l).reshape(-1, _GL_ORDER))
+        self.l_coefs = _filon_coefs((ptot[:-1] * g_l).reshape(-1, _GL_ORDER))
         # marginal hit-time weight m(s): length integrated out from s to the
         # cutoff plus the frozen far tail
         s_lo = min(lo_env, 1e-3 * lmax)
@@ -571,7 +562,7 @@ class _CfSide:
         # above lmax freezing the hit probability misses O(1 - p(lmax))
         c_env = kappa * kappa / (2.0 * st2)
         below = (math.sqrt(st2) / (2.0 * math.pi * kappa)) * float(special.exp1(c_env / lmin))
-        self.tail_bias = weight * (below + (1.0 - far_total) * tail_mass)
+        self.tail_bias = weight * (below + (1.0 - self.ptot_far) * tail_mass)
         self.ok = ok
 
 
@@ -613,8 +604,8 @@ def renewal_cf(alpha_arg, params, flags=None):
     A conditional law needs its shift to have positive probability.  When
     a side's intensity is 0 (it underflows on very narrow wedges, such as
     ModelParams(a=1.0001, b=20.0), whose lambda_minus is 0), the law
-    conditional on that shift does not exist, and a nonzero argument raises
-    ValueError naming the side.
+    conditional on that shift does not exist, and any argument, zero
+    included, raises ValueError naming the side.
 
     The Filon phases and moments of the length grid and of the hit-time
     grids are evaluated once per call (74 panels on a symmetric model,
@@ -624,15 +615,15 @@ def renewal_cf(alpha_arg, params, flags=None):
     alpha_arg = float(alpha_arg)
     if not math.isfinite(alpha_arg):
         raise ValueError("argument must be finite")
-    if alpha_arg == 0.0:
-        one = complex(1.0, 0.0)
-        return one, one, one
     tab_v, tab_y = _cf_table(params)
     for shift, name, tab in (("down", "lambda_minus", tab_v), ("up", "lambda_plus", tab_y)):
         if tab.lam_tab == 0.0:
             raise ValueError(
                 f"the {shift}-shift renewal intensity {name} is 0 for these parameters,"
                 f" so the renewal law conditional on the {shift} shift does not exist")
+    if alpha_arg == 0.0:
+        one = complex(1.0, 0.0)
+        return one, one, one
     if not (tab_v.ok and tab_y.ok):
         _note(flags, FLAG_SERIES_CAP)
     # one kernel serves every grid: the length grid, which depends only on

@@ -38,7 +38,6 @@ __all__ = [
     "GridPath",
     "GridSpec",
     "TwoSpeedParams",
-    "ExcursionList",
     "LimitRenewalSample",
     "sample_two_speed_timechange",
     "decompose_excursions",
@@ -49,21 +48,17 @@ __all__ = [
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class GridPath:
-    """A real-valued path sampled on a uniform time grid.
+    """A real-valued path sampled on a uniform time grid from time zero.
 
-    ``values[i]`` is the path value at time ``t0 + i * dt``.  The value array
-    is copied on construction and frozen, so a path can be shared freely.
+    ``values[i]`` is the path value at time ``i * dt``.  The value array is
+    copied on construction and frozen, so a path can be shared freely.
     """
 
-    t0: float
     dt: float
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        t0 = float(self.t0)
         dt = float(self.dt)
-        if not math.isfinite(t0):
-            raise ValueError("start time must be finite")
         if not (math.isfinite(dt) and dt > 0.0):
             raise ValueError("grid step must be positive and finite")
         values = np.array(self.values, dtype=float, copy=True)
@@ -72,7 +67,6 @@ class GridPath:
         if not np.all(np.isfinite(values)):
             raise ValueError("path values must be finite")
         values.setflags(write=False)
-        object.__setattr__(self, "t0", t0)
         object.__setattr__(self, "dt", dt)
         object.__setattr__(self, "values", values)
 
@@ -86,7 +80,7 @@ class GridSpec:
 
     The sampled grid starts at time zero and extends to the smallest whole
     number of steps covering ``horizon``, so the produced paths have
-    ``n_steps + 1`` points and end at ``span >= horizon``.
+    ``n_steps + 1`` points.
     """
 
     horizon: float
@@ -110,10 +104,6 @@ class GridSpec:
     def n_steps(self) -> int:
         return int(math.ceil(self.horizon / self.dt - 1e-9))
 
-    @property
-    def span(self) -> float:
-        return self.n_steps * self.dt
-
 
 @dataclasses.dataclass(frozen=True)
 class TwoSpeedParams:
@@ -131,57 +121,6 @@ class TwoSpeedParams:
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be positive and finite")
             object.__setattr__(self, name, value)
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class ExcursionList:
-    """Excursion intervals of a grid path.
-
-    Each entry ``(left, right, sign)`` holds grid indices bracketing one
-    maximal sign-constant stretch: every value strictly between ``left`` and
-    ``right`` carries the stated sign, while the endpoint indices sit in the
-    zero band, at the window edge, or at a hard sign flip whose true crossing
-    lies inside the adjacent step.  Interiors of distinct entries are
-    disjoint; two adjacent entries may share a single bracketing index.
-    """
-
-    path: GridPath
-    entries: tuple
-
-    def __post_init__(self) -> None:
-        values = self.path.values
-        last = values.size - 1
-        cleaned = []
-        prev_left = -1
-        prev_right = -1
-        for entry in self.entries:
-            left, right, sign = entry
-            left = int(left)
-            right = int(right)
-            sign = int(sign)
-            if sign not in (-1, 1):
-                raise ValueError("excursion sign must be +1 or -1")
-            if not 0 <= left < right <= last:
-                raise ValueError("excursion endpoints must be ordered grid indices")
-            if right - left < 2:
-                raise ValueError("an excursion must span at least two grid steps")
-            if left <= prev_left or left < prev_right - 1:
-                raise ValueError("entries must be ordered with disjoint interiors")
-            interior = values[left + 1 : right]
-            if not np.all(sign * interior > 0.0):
-                raise ValueError("excursion interiors must keep a constant sign")
-            cleaned.append((left, right, sign))
-            prev_left = left
-            prev_right = right
-        object.__setattr__(self, "entries", tuple(cleaned))
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    @property
-    def lengths(self) -> np.ndarray:
-        """Time length of each entry."""
-        return np.array([(right - left) * self.path.dt for left, right, _ in self.entries])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -267,10 +206,10 @@ def sample_two_speed_timechange(
     grid step (W's step, then the two normals of the touch exponential).
     """
     values = _Interior(params, grid.dt).extend(rng.standard_normal((grid.n_steps, 3)))
-    return GridPath(0.0, grid.dt, values)
+    return GridPath(grid.dt, values)
 
 
-def default_zero_tol(dt: float) -> float:
+def _zero_tol(dt: float) -> float:
     """Zero-band half width used for excursion bookkeeping: sqrt(dt) / 10.
 
     Grid paths of Brownian type resolve zero crossings only to the square
@@ -279,22 +218,28 @@ def default_zero_tol(dt: float) -> float:
     return math.sqrt(dt) / 10.0
 
 
-def decompose_excursions(path: GridPath, min_length: float) -> ExcursionList:
-    """List the maximal sign-constant stretches of a path.
+def decompose_excursions(
+    path: GridPath, min_length: float
+) -> tuple[tuple[int, int, int], ...]:
+    """The maximal sign-constant stretches of a path, as ``(left, right, sign)``.
 
-    Values within ``default_zero_tol(dt)`` of zero count as zero and separate
+    Values within ``_zero_tol(dt)`` of zero count as zero and separate
     stretches; a sign change without an intervening zero value splits them as
-    well.  An entry's endpoints are the indices just outside its stretch
-    (clipped at the window edges), and only entries spanning at least
-    ``min_length`` of grid time are kept, so ``min_length`` must cover two
-    grid steps.
+    well.  Each entry holds the grid indices just outside its stretch
+    (clipped at the window edges) and the stretch's sign, +1 or -1, so every
+    value strictly between ``left`` and ``right`` has that sign and lies
+    outside the zero band.  Entries come in order with disjoint interiors, so
+    neighbours meet only at their ends: at one shared index in the zero band,
+    or across a hard sign flip, where each ends at the other's first interior
+    point.  Only entries spanning at least ``min_length`` of grid time are
+    kept, so ``min_length`` must cover two grid steps.
     """
     dt = path.dt
     min_length = float(min_length)
     if not math.isfinite(min_length) or min_length < 2.0 * dt:
         raise ValueError("minimum length must cover at least two grid steps")
     values = path.values
-    sgn = np.where(np.abs(values) < default_zero_tol(dt), 0, np.sign(values)).astype(np.int64)
+    sgn = np.where(np.abs(values) < _zero_tol(dt), 0, np.sign(values)).astype(np.int64)
     nonzero = sgn != 0
     change = sgn[1:] != sgn[:-1]
     starts = np.flatnonzero(nonzero & np.concatenate([[True], change]))
@@ -303,17 +248,14 @@ def decompose_excursions(path: GridPath, min_length: float) -> ExcursionList:
     rights = np.minimum(ends + 1, values.size - 1)
     min_steps = int(math.ceil(min_length / dt - 1e-9))
     keep = rights - lefts >= min_steps
-    entries = tuple(
-        zip(lefts[keep].tolist(), rights[keep].tolist(), sgn[starts[keep]].tolist())
-    )
-    return ExcursionList(path=path, entries=entries)
+    return tuple(zip(lefts[keep].tolist(), rights[keep].tolist(), sgn[starts[keep]].tolist()))
 
 
 class _Side:
     """One pinned bracketing process over an interior path, extended block by block.
 
     The interior is on the side's excursions where ``sign * g`` is at least
-    the zero band ``default_zero_tol(dt)``.  There the process is ``kappa +
+    the zero band ``_zero_tol(dt)``.  There the process is ``kappa +
     beta * S + alpha * g``, where ``S`` sums the side's normals over the steps
     since the excursion's left end; elsewhere it is ``kappa``.  The side
     takes one standard normal per grid step, so step ``i`` uses its ``i``-th
@@ -354,7 +296,7 @@ class _Side:
 
 def _bracketing_sides(params: DerivedConstants, dt: float) -> tuple[_Side, _Side]:
     """The upper side over negative excursions and the lower one over positive ones."""
-    tol = default_zero_tol(dt)
+    tol = _zero_tol(dt)
     sqdt = math.sqrt(dt)
     noise_scale = math.sqrt(1.0 - params.rho**2)
     upper = _Side(params.kappa_L, noise_scale * params.sigma_plus * sqdt, params.alpha_minus,
@@ -375,10 +317,11 @@ def build_bracketing_limits(
     excursion, restarting from ``kappa_L`` at the excursion's left endpoint.
     The lower process mirrors this at ``kappa_R`` over positive excursions
     with variance rate ``(1 - rho**2) * sigma_minus**2`` and slope
-    ``alpha_plus``.  The excursions are those of ``decompose_excursions`` with
-    its default zero band; the first and last points are window edges and
-    stay pinned.  Draw order: ``rng.standard_normal((len(gstar) - 1, 2))``,
-    one row per grid step, upper normal then lower normal.
+    ``alpha_plus``.  The excursions are those of ``decompose_excursions``,
+    whose zero band ``_zero_tol(dt)`` the overlay shares; the first and last
+    points are window edges and stay pinned.  Draw order:
+    ``rng.standard_normal((len(gstar) - 1, 2))``, one row per grid step,
+    upper normal then lower normal.
     """
     z = rng.standard_normal((len(gstar) - 1, 2))
     upper_side, lower_side = _bracketing_sides(params, gstar.dt)
@@ -386,7 +329,7 @@ def build_bracketing_limits(
     lower = lower_side.extend(gstar.values, z[:, 1])
     upper[-1] = params.kappa_L
     lower[-1] = params.kappa_R
-    return GridPath(gstar.t0, gstar.dt, upper), GridPath(gstar.t0, gstar.dt, lower)
+    return GridPath(gstar.dt, upper), GridPath(gstar.dt, lower)
 
 
 def _first_crossing(

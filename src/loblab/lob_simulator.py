@@ -33,7 +33,8 @@ bisection over doubles through the same subtractions in the same order,
 so the pick is the flow that search picks, rounding ties included (see
 ``_book_kernel.c``).  Both loops inline the event step.  From the pinned
 start (0.75, kappa_L, 0, 0, kappa_R, -0.75) of ``ModelParams(theta_b=2)``
-at n = 10^4, a renewal averages 10,057 events (seed 0, 4,000 paths).  The
+at n = 10^4, a renewal averages 10,057 events (seed 0, 4,000 paths,
+counted while the renewal loop still kept an event count).  The
 renewal loop spends about 26 to 28 ns per event on a busy 2-core Intel Xeon
 host (gcc 12.2; medians of 16 rounds of 500 paths); the two draws, timed
 through numpy on the same host, take about 21 ns of it.
@@ -313,16 +314,12 @@ def _run_to_renewal(counts, params, n, limit, rng):
     time limit.
     """
     q = _ffi.new("int64_t[6]", counts)
-    occ = _ffi.new("double[8]")
     clock = _ffi.new("double *")
-    events = _ffi.new("int64_t *")
     ev = _ffi.new("event_t *")
     rates = _ffi.new("rates_t *", _rate_table(params, n))
     bit_generator = rng.bit_generator
     with bit_generator.lock:
-        status = _lib.run_to_renewal(
-            _bitgen(bit_generator), q, rates, limit, clock, occ, events, ev
-        )
+        status = _lib.run_to_renewal(_bitgen(bit_generator), q, rates, limit, clock, ev)
     if status == _lib.KERNEL_HORIZON:
         raise HorizonExceededError(
             f"no renewal by scaled time {limit / n}; last clock {clock[0] / n}"

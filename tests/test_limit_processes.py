@@ -3,10 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loblab import limit_processes as lp
 from loblab import (
-    ExcursionList,
     GridPath,
     GridSpec,
     LimitRenewalSample,
@@ -51,7 +51,7 @@ def _reference_renewal(c, dt, n_steps, rng):
     beta_lower = noise_scale * c.sigma_minus * math.sqrt(dt)
     upper = np.full(n_steps + 1, c.kappa_L)
     lower = np.full(n_steps + 1, c.kappa_R)
-    for left, right, sign in decompose_excursions(GridPath(0.0, dt, g), 2.0 * dt).entries:
+    for left, right, sign in decompose_excursions(GridPath(dt, g), 2.0 * dt):
         # point k is reached by step k, which uses normal k - 1 of its side
         inside = slice(left + 1, right)
         if sign < 0:
@@ -231,27 +231,81 @@ class TestDecomposeExcursions:
 
     def test_zero_band_separates_stretches(self):
         # 0.01 lies inside the band and splits the positive run in two
-        path = GridPath(0.0, 0.1, [0.0, 1.0, 2.0, 0.01, 2.0, 1.0, 0.0])
-        assert decompose_excursions(path, 0.2).entries == ((0, 3, 1), (3, 6, 1))
+        path = GridPath(0.1, [0.0, 1.0, 2.0, 0.01, 2.0, 1.0, 0.0])
+        assert decompose_excursions(path, 0.2) == ((0, 3, 1), (3, 6, 1))
 
     def test_endpoints_clip_at_window_edges(self):
-        path = GridPath(0.0, 0.1, [-1.0, -2.0, 0.0, 1.0, 2.0])
-        assert decompose_excursions(path, 0.2).entries == ((0, 2, -1), (2, 4, 1))
+        path = GridPath(0.1, [-1.0, -2.0, 0.0, 1.0, 2.0])
+        assert decompose_excursions(path, 0.2) == ((0, 2, -1), (2, 4, 1))
 
     def test_hard_sign_flip_splits(self):
-        path = GridPath(0.0, 0.1, [1.0, 2.0, 3.0, -1.0, -2.0, -3.0])
-        assert decompose_excursions(path, 0.2).entries == ((0, 3, 1), (2, 5, -1))
+        path = GridPath(0.1, [1.0, 2.0, 3.0, -1.0, -2.0, -3.0])
+        assert decompose_excursions(path, 0.2) == ((0, 3, 1), (2, 5, -1))
 
     def test_min_length_drops_short_stretches(self):
-        path = GridPath(0.0, 0.1, [0.0, 1.0, 0.0, -1.0, -2.0, 0.0])
-        assert decompose_excursions(path, 0.2).entries == ((0, 2, 1), (2, 5, -1))
-        assert decompose_excursions(path, 0.3).entries == ((2, 5, -1),)
+        path = GridPath(0.1, [0.0, 1.0, 0.0, -1.0, -2.0, 0.0])
+        assert decompose_excursions(path, 0.2) == ((0, 2, 1), (2, 5, -1))
+        assert decompose_excursions(path, 0.3) == ((2, 5, -1),)
+
+    def test_zeros_are_the_only_endpoints(self):
+        # the zero band at dt = 0.5 is 0.0707, so the zeros of _VALUES are
+        # the only endpoints
+        path = GridPath(0.5, _VALUES)
+        assert decompose_excursions(path, 1.0) == ((0, 3, 1), (3, 6, -1), (6, 8, 1))
 
     @pytest.mark.parametrize("min_length", [0.19, math.nan])
     def test_rejects_bad_arguments(self, min_length):
-        path = GridPath(0.0, 0.1, _VALUES)
+        path = GridPath(0.1, _VALUES)
         with pytest.raises(ValueError):
             decompose_excursions(path, min_length)
+
+    # 300 examples, about 1.1-1.6 s on a 2-core x86-64 host
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        dt=st.sampled_from([1e-3, 0.1, 0.5, 2.0]),
+        # stretches of exact zeros, of values inside the zero band (as
+        # fractions of it) and of either sign outside it (as multiples of
+        # it); a positive stretch next to a negative one is a hard flip
+        stretches=st.lists(
+            st.tuples(st.sampled_from(["zero", "+band", "-band", "+", "-"]),
+                      st.lists(st.floats(0.0, 0.999), min_size=1, max_size=8)),
+            min_size=1, max_size=12),
+        min_steps=st.floats(2.0, 10.0),
+    )
+    def test_entries_bracket_maximal_stretches(self, dt, stretches, min_steps):
+        tol = math.sqrt(dt) / 10.0
+        scale = {"zero": 0.0, "+band": tol, "-band": -tol, "+": tol, "-": -tol}
+        values = [scale[kind] * (x if kind.endswith("band") else 1.0 + 1e3 * x)
+                  for kind, xs in stretches for x in xs]
+        path = GridPath(dt, values)
+        min_length = min_steps * dt
+        entries = decompose_excursions(path, min_length)
+        # grid steps an entry must span, as the function rounds them
+        need = math.ceil(min_length / dt - 1e-9)
+        last = len(values) - 1
+        sgn = [0 if abs(v) < tol else (1 if v > 0 else -1) for v in values]
+        for prev, entry in zip(entries, entries[1:]):
+            # in order, with disjoint interiors
+            assert prev[0] < entry[0] and entry[0] >= prev[1] - 1
+        for left, right, sign in entries:
+            assert sign in (-1, 1) and 0 <= left < right <= last
+            assert all(sgn[i] == sign for i in range(left + 1, right))
+            assert right - left >= need and (right - left) * dt >= min_length * (1.0 - 1e-9)
+            for end in (left, right):
+                # a window edge, a value in the band or the far side of a flip
+                assert end in (0, last) or sgn[end] in (0, -sign)
+        # every maximal stretch is listed, bracketed by the indices just
+        # outside it, exactly when it spans min_length
+        i = 0
+        while i <= last:
+            j = i
+            while j < last and sgn[j + 1] == sgn[i]:
+                j += 1
+            if sgn[i]:
+                left, right = max(i - 1, 0), min(j + 1, last)
+                listed = (left, right, sgn[i]) in entries
+                assert listed == (right - left >= need)
+            i = j + 1
 
 
 class TestBracketingLimits:
@@ -263,7 +317,7 @@ class TestBracketingLimits:
         c = derive_constants(ModelParams(theta_b=2.0))
         gstar = self._interior()
         upper, lower = build_bracketing_limits(gstar, c, path_stream(7, 1))
-        entries = decompose_excursions(gstar, 2.0 * gstar.dt).entries
+        entries = decompose_excursions(gstar, 2.0 * gstar.dt)
         in_negative = np.zeros(len(gstar), dtype=bool)
         in_positive = np.zeros(len(gstar), dtype=bool)
         for left, right, sign in entries:
@@ -298,7 +352,7 @@ class TestOverlayLaw:
         c = derive_constants(ModelParams(theta_b=2.0))
         c = dataclasses.replace(c, sigma_minus=c.sigma_plus / 2.0)
         g = np.array(self.SIGNS) * (0.2 + 0.01 * np.arange(len(self.SIGNS)))
-        path = GridPath(0.0, self.DT, g)
+        path = GridPath(self.DT, g)
         pairs = [build_bracketing_limits(path, c, path_stream(19, i)) for i in range(self.PATHS)]
         upper = np.array([u.values for u, _ in pairs]) - c.kappa_L - c.alpha_minus * g
         lower = np.array([lo.values for _, lo in pairs]) - c.kappa_R - c.alpha_plus * g
@@ -327,34 +381,3 @@ class TestOverlayLaw:
 # zero at indices 0, 3, 6 and 8: one positive, one negative and one short
 # positive stretch
 _VALUES = [0.0, 1.0, 2.0, 0.0, -1.0, -2.0, 0.0, 3.0, 0.0]
-
-
-class TestExcursionList:
-    def test_accepts_the_decomposition(self):
-        path = GridPath(0.0, 0.5, _VALUES)
-        entries = ((0, 3, 1), (3, 6, -1), (6, 8, 1))
-        excursions = ExcursionList(path, entries)
-        assert excursions.entries == entries
-        assert np.array_equal(excursions.lengths, [1.5, 1.5, 1.0])
-        # the zero band at dt = 0.5 is 0.0707, so the zeros are the only endpoints
-        assert decompose_excursions(path, 1.0).entries == entries
-
-    @pytest.mark.parametrize(
-        "entries",
-        [
-            ((0, 3, 0),),                  # sign not +1 or -1
-            ((-1, 3, 1),),                 # left before the grid
-            ((3, 9, -1),),                 # right past the last index
-            ((3, 3, -1),),                 # empty interval
-            ((6, 7, 1),),                  # shorter than two steps
-            ((0, 3, -1),),                 # interior has the other sign
-            ((2, 5, 1),),                  # interior crosses zero
-            ((3, 6, -1), (0, 3, 1)),       # out of order
-            ((0, 3, 1), (1, 3, 1)),        # overlapping interiors
-        ],
-    )
-    def test_rejects_bad_entries(self, entries):
-        path = GridPath(0.0, 0.5, _VALUES)
-        with pytest.raises(ValueError):
-            ExcursionList(path, entries)
-

@@ -281,12 +281,10 @@ def ref_run_to_renewal(counts, params, n, limit, rng, final=None):
     exponential, uniform = rng.standard_exponential, rng.random
     allowed = REF_ALLOWED
     q = list(counts)
-    occ = [0.0] * len(REGION_ORDER)
     clock = 0.0
-    events = 0
     try:
         while True:
-            dt, slot, delta, region, category = ref_next_event(
+            dt, slot, delta, _, category = ref_next_event(
                 q, rates, exponential, uniform
             )
             if clock + dt > limit:
@@ -299,14 +297,12 @@ def ref_run_to_renewal(counts, params, n, limit, rng, final=None):
             if not lo <= before <= hi:
                 sim._fault(sim._FAULTS[category].format(slot))
             q[slot] = before + delta
-            occ[region] += dt
             clock += dt
-            events += 1
             if q[1] == 0 or q[4] == 0:
                 break
     finally:
         if final is not None:
-            final.update(queues=q, clock=clock, occupation=occ, events=events)
+            final.update(queues=q, clock=clock)
     sqrt_n = math.sqrt(n)
     return sim.RenewalRecord(
         direction="down" if q[1] == 0 else "up",
@@ -959,7 +955,7 @@ def _renew(run, counts, c, n, limit, rng):
 
 class KernelTap:
     """Stands in for the kernel library and keeps what the renewal loop
-    left in its buffers: the book, clock, occupation and event count."""
+    left in its buffers: the book and the clock."""
 
     def __init__(self, lib):
         self._lib = lib
@@ -968,11 +964,9 @@ class KernelTap:
     def __getattr__(self, name):
         return getattr(self._lib, name)
 
-    def run_to_renewal(self, bg, q, rates, limit, clock, occ, events, ev):
-        status = self._lib.run_to_renewal(bg, q, rates, limit, clock, occ, events, ev)
-        self.final = dict(
-            queues=list(q), clock=clock[0], occupation=list(occ), events=events[0]
-        )
+    def run_to_renewal(self, bg, q, rates, limit, clock, ev):
+        status = self._lib.run_to_renewal(bg, q, rates, limit, clock, ev)
+        self.final = dict(queues=list(q), clock=clock[0])
         return status
 
 
@@ -985,7 +979,7 @@ def _assert_same_renewal(counts, c, n, limit, seed, path_index):
     ref = functools.partial(ref_run_to_renewal, final=final)
     want = _renew(ref, counts, c, n, limit, ref_rng)
     assert got == want
-    # the loop's final book, clock, occupation and event count
+    # the loop's final book and clock
     assert tap.final == final
     # the kernel consumed exactly the reference's draws
     assert kernel_rng.random() == ref_rng.random()
